@@ -135,7 +135,8 @@ def build_parser() -> _Parser:
                        help="run the full seed/fit/propose/verify loop")
     p.add_argument("--config", required=True, help="pipeline config JSON file")
     p.add_argument("--out-dir", default="pipeline-out")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: each training phase runs as one batch in this process")
     p.add_argument("--refine-rounds", type=int, default=0)
 
     return parser

@@ -10,6 +10,17 @@ Rewards are the verifiable kind: the proxy policy cannot be malformed, so the
 format component is always 1 and the total is ``2 * exact_match + 1`` under
 the default weights.  That is an affine shift of the 0/1 match signal and
 leaves group-normalized advantages unchanged.
+
+Training runs go through :func:`train_runs`, which advances every run of a
+phase in lockstep as one array program over ``theta`` of shape ``(R, k, A)``.
+A run's randomness never depends on its policy: the data stream is fixed by
+(mixture, seed, pools) and the action sampler consumes ``group_size``
+uniforms per step, so both are drawn in bulk before the first step and each
+step is a handful of array operations across all live runs.  Every array
+operation rounds exactly as the one-group reference path
+(:func:`build_group`, :func:`objective_row_gradient`, :func:`grpo_step`)
+does, so the batched trainer reproduces a per-run ``grpo_step`` loop bit for
+bit; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -24,8 +35,9 @@ from .errors import DimensionMismatch, GroupTooSmall, SupportMismatch
 from .mixtures import MixtureWeights
 from .records import PerformanceRecord
 from .rewards import RewardWeights, combined_reward
+from .sampler import draw_stream
 from .sampler import init as sampler_init
-from .sampler import next_sample
+from .sampler import next_sample  # noqa: F401  (unused; perfbench/tracing.py patches this binding)
 from .world import SyntheticWorld, benchmark_scores
 
 # Offset separating the trainer's action-sampling stream from the data
@@ -266,6 +278,131 @@ def grpo_step(
     return PolicyParams(theta)
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """One planned training run: the mixture it samples, its seed, its record id."""
+
+    mixture: MixtureWeights
+    seed: int
+    record_id: str | None = None
+
+
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """:func:`softmax` of each row, rounded exactly as the 1-D call rounds it."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def _advantage_rows(rewards: np.ndarray) -> np.ndarray:
+    """:func:`group_advantages` of each row, with the same zero-spread guards."""
+    mean = rewards.mean(axis=1, keepdims=True)
+    centered = rewards - mean
+    std = np.sqrt((centered ** 2).mean(axis=1, keepdims=True))
+    flat = (rewards.max(axis=1, keepdims=True) == rewards.min(axis=1, keepdims=True)) | (std == 0.0)
+    return np.where(flat, 0.0, centered / np.where(flat, 1.0, std))
+
+
+def _gradient_rows(
+    p: np.ndarray,
+    p_old: np.ndarray,
+    q: np.ndarray,
+    actions: np.ndarray,
+    advantages: np.ndarray,
+    config: GrpoConfig,
+) -> np.ndarray:
+    """:func:`objective_row_gradient` of each row; group samples add up in order."""
+    ratios = np.exp(
+        np.log(np.take_along_axis(p, actions, axis=1))
+        - np.log(np.take_along_axis(p_old, actions, axis=1))
+    )
+    clipped = np.minimum(np.maximum(ratios, 1.0 - config.clip_epsilon), 1.0 + config.clip_epsilon)
+    unclipped = ratios * advantages <= clipped * advantages
+    onehot = actions[:, :, None] == np.arange(p.shape[1])
+    terms = (advantages * ratios)[:, :, None] * (onehot - p[:, None, :])
+    terms = np.where(unclipped[:, :, None], terms, 0.0)
+    grad = np.add.accumulate(terms, axis=1)[:, -1] / actions.shape[1]
+    if config.kl_coeff > 0.0:
+        log_ratio = np.log(p / q)
+        kl = (p * log_ratio).sum(axis=1, keepdims=True)
+        grad -= config.kl_coeff * p * (log_ratio - kl)
+    return grad
+
+
+def train_policies(
+    world: SyntheticWorld,
+    runs: Sequence[RunSpec],
+    config: GrpoConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Train every run together: final logits ``(R, k, A)`` and steps taken ``(R,)``.
+
+    Deterministic per (world, run, config): run r's data sampler seeds with
+    ``runs[r].seed`` and its action sampling with ``seed + ACTION_STREAM_OFFSET``.
+    A run ends at the step budget or the first time a drawn domain's pool is
+    exhausted; at step t only the runs still going are updated, each in the
+    one logit row of its task's skill.
+    """
+    for run in runs:
+        if run.mixture.m != world.m:
+            raise DimensionMismatch(f"{run.mixture.m} weights for a world with {world.m} domains")
+    steps, group_size = config.steps, config.group_size
+    lengths = np.zeros(len(runs), dtype=np.int64)
+    skills = np.zeros((len(runs), steps), dtype=np.int64)
+    golds = np.zeros_like(skills)
+    uniforms = np.zeros((len(runs), steps, group_size))
+    for r, run in enumerate(runs):
+        state = sampler_init(world.catalog(), run.mixture, seed=run.seed)
+        domains, items = draw_stream(state, steps)
+        n = lengths[r] = len(domains)
+        skills[r, :n], golds[r, :n] = world.tasks(domains, items)
+        np.random.default_rng(run.seed + ACTION_STREAM_OFFSET).random(out=uniforms[r, :n])
+
+    theta = np.zeros((len(runs), world.k, world.A))
+    ref = softmax(np.zeros(world.A))
+    reward = config.reward_weights
+    for step in range(int(lengths.max(initial=0))):
+        live = np.flatnonzero(lengths > step)
+        skill = skills[live, step]
+        old = theta[live, skill]
+        p_old = _softmax_rows(old)
+        # rng.choice(A, p=p_old): the count of normalized-CDF entries at or below u
+        cdf = p_old.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        actions = (cdf[:, None, :] <= uniforms[live, step][:, :, None]).sum(axis=2)
+        rewards = reward.accuracy * (actions == golds[live, step][:, None]) + reward.format
+        advantages = _advantage_rows(rewards)
+        lr = learning_rate_at(step, config)
+        new = old
+        for _ in range(config.inner_epochs):
+            new = new + lr * _gradient_rows(_softmax_rows(new), p_old, ref, actions, advantages, config)
+        theta[live, skill] = new
+    return theta, lengths
+
+
+def train_runs(
+    world: SyntheticWorld,
+    runs: Sequence[RunSpec],
+    config: GrpoConfig,
+) -> list[PerformanceRecord]:
+    """Train every run together (:func:`train_policies`); one scored record per run."""
+    theta, lengths = train_policies(world, runs, config)
+    records = []
+    for r, run in enumerate(runs):
+        labels = run.mixture.dataset_labels()
+        record_id = run.record_id
+        if record_id is None:
+            digits = "".join(str(label) for label in labels) or "none"
+            record_id = f"mix{digits}-s{run.seed}"
+        records.append(PerformanceRecord(
+            id=record_id,
+            datasets=labels,
+            weights=run.mixture,
+            scores=benchmark_scores(world, theta[r]),
+            step=int(lengths[r]),
+        ))
+    return records
+
+
 def train_with_mixture(
     world: SyntheticWorld,
     weights: MixtureWeights,
@@ -273,39 +410,5 @@ def train_with_mixture(
     seed: int,
     record_id: str | None = None,
 ) -> PerformanceRecord:
-    """Run the sampler stream through GRPO updates and score the final policy.
-
-    Deterministic per (world, weights, config, seed): the data sampler seeds
-    with ``seed`` and action sampling with ``seed + ACTION_STREAM_OFFSET``.
-    Training ends at the step budget or the first time a drawn domain's pool
-    is exhausted, whichever comes first.
-    """
-    if weights.m != world.m:
-        raise DimensionMismatch(f"{weights.m} weights for a world with {world.m} domains")
-    state = sampler_init(world.catalog(), weights, seed=seed)
-    rng = np.random.default_rng(seed + ACTION_STREAM_OFFSET)
-
-    policy = PolicyParams.zeros(world.k, world.A)
-    ref_policy = policy
-    steps_taken = 0
-    while steps_taken < config.steps:
-        drawn = next_sample(state)
-        if drawn is None:
-            break
-        domain, item = drawn
-        task = world.task(domain, item)
-        policy = grpo_step(policy, task, config, rng, ref_policy, step=steps_taken)
-        steps_taken += 1
-
-    scores = benchmark_scores(world, policy.theta)
-    labels = weights.dataset_labels()
-    if record_id is None:
-        digits = "".join(str(label) for label in labels) or "none"
-        record_id = f"mix{digits}-s{seed}"
-    return PerformanceRecord(
-        id=record_id,
-        datasets=labels,
-        weights=weights,
-        scores=scores,
-        step=steps_taken,
-    )
+    """Train one run (:func:`train_runs` with a single run) and score the final policy."""
+    return train_runs(world, [RunSpec(weights, seed, record_id)], config)[0]

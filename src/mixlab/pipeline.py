@@ -3,9 +3,15 @@
 The flow is: train one pilot per planned seed mixture, fit the cross-validated
 surrogate on the pilot records, sample and rank candidate mixtures, then
 verify the top candidates and the uniform baseline with fresh seeds the
-fitting never saw.  Seed bookkeeping is all fixed arithmetic on the config's
-``base_seed`` so every stage is reproducible and the fitting and verification
-run sets stay disjoint by construction:
+fitting never saw.
+
+Every training phase (seed, verify, refine) is planned by :func:`plan_phase`
+as a list of :class:`~mixlab.grpo.RunSpec` and trained in one process as one
+lockstep batch by :func:`~mixlab.grpo.train_runs`.  The ``jobs`` arguments
+(and the CLI's ``--jobs``) are accepted for compatibility and have no effect.
+Seed bookkeeping is all fixed arithmetic on the config's ``base_seed`` so
+every stage is reproducible and the fitting and verification run sets stay
+disjoint by construction:
 
 * pilot j, rep r    -> base_seed + j * replicates + r
 * verification v    -> base_seed + 10_000 + v   (shared across mixtures, so
@@ -19,14 +25,15 @@ Run provenance is also tagged in record ids (``seed:``, ``verify:``,
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .grpo import GrpoConfig, train_with_mixture
+from .errors import DimensionMismatch
+from .grpo import GrpoConfig, RunSpec, train_runs
+from .grpo import train_with_mixture  # noqa: F401  (unused; perfbench/tracing.py patches this binding)
 from .mixtures import MixtureWeights, format_mixture, seed_all, seed_exclude_one, seed_single
 from .records import PerformanceRecord, weighted_aggregate, write_records
 from .search import ProposalConfig, propose
@@ -174,16 +181,53 @@ def plan_seed_mixtures(plan: SeedPlan, m: int) -> list[MixtureWeights]:
     return planned
 
 
-def _train_one(args) -> PerformanceRecord:
-    world, mixture, train_config, seed, record_id = args
-    return train_with_mixture(world, mixture, train_config, seed, record_id=record_id)
+class PhasePlan(NamedTuple):
+    """Every training run of one phase, in record order, and what they share."""
+
+    world: SyntheticWorld
+    train: GrpoConfig
+    runs: list[RunSpec]
 
 
-def _run_all(tasks: list[tuple], jobs: int) -> list[PerformanceRecord]:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_train_one(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_train_one, tasks))
+def plan_phase(
+    config: PipelineConfig,
+    world: SyntheticWorld,
+    phase: str,
+    mixtures: Sequence[tuple[str, MixtureWeights]],
+    round_index: int = 0,
+) -> PhasePlan:
+    """Seeds and record ids of one phase's runs, per the module's seed table.
+
+    ``phase`` is ``"seed"`` (``replicates`` runs per mixture), ``"verify"``
+    (one run per shared verification seed per mixture) or ``"refine"`` (one
+    run per mixture in refinement round ``round_index``).  Each mixture comes
+    with a tag; only verification record ids carry it.
+    """
+    base = config.base_seed
+    runs: list[RunSpec] = []
+    for c, (tag, mixture) in enumerate(mixtures):
+        digits = "".join(str(label) for label in mixture.dataset_labels())
+        if phase == "seed":
+            reps = config.seed_plan.replicates
+            runs += [RunSpec(mixture, base + c * reps + r, f"seed:{digits}:r{r}") for r in range(reps)]
+        elif phase == "verify":
+            runs += [RunSpec(mixture, seed, f"verify:{tag}:{digits}-s{seed}") for seed in verify_seeds(config)]
+        elif phase == "refine":
+            seed = base + REFINE_SEED_OFFSET + REFINE_ROUND_STRIDE * round_index + c
+            runs.append(RunSpec(mixture, seed, f"refine:{round_index}:{digits}-s{seed}"))
+        else:
+            raise ValueError(f"unknown phase {phase!r}")
+    return PhasePlan(world, config.train, runs)
+
+
+def verify_seeds(config: PipelineConfig) -> list[int]:
+    """Verification seeds; every verified mixture uses all of them, so runs pair by seed."""
+    return [config.base_seed + VERIFY_SEED_OFFSET + v for v in range(config.verify_seeds)]
+
+
+def _run_all(tasks: PhasePlan, jobs: int) -> list[PerformanceRecord]:
+    """Train one phase as a single lockstep batch; ``jobs`` has no effect."""
+    return train_runs(tasks.world, tasks.runs, tasks.train)
 
 
 def run_seed_phase(
@@ -191,17 +235,11 @@ def run_seed_phase(
     world: SyntheticWorld | None = None,
     jobs: int = 1,
 ) -> list[PerformanceRecord]:
-    """Train one pilot run per planned seed mixture."""
+    """Train one pilot run per planned seed mixture and replicate."""
     if world is None:
         world = make_world(config.world_spec, config.world_seed)
-    replicates = config.seed_plan.replicates
-    tasks = []
-    for j, mixture in enumerate(plan_seed_mixtures(config.seed_plan, world.m)):
-        digits = "".join(str(label) for label in mixture.dataset_labels())
-        for rep in range(replicates):
-            seed = config.base_seed + j * replicates + rep
-            tasks.append((world, mixture, config.train, seed, f"seed:{digits}:r{rep}"))
-    return _run_all(tasks, jobs)
+    mixtures = [("", mixture) for mixture in plan_seed_mixtures(config.seed_plan, world.m)]
+    return _run_all(plan_phase(config, world, "seed", mixtures), jobs)
 
 
 def _verify(
@@ -209,21 +247,16 @@ def _verify(
     mixtures: Sequence[tuple[str, MixtureWeights]],
     config: PipelineConfig,
     jobs: int,
-) -> tuple[list[list[float]], list[PerformanceRecord], list[int]]:
+) -> tuple[list[list[float]], list[PerformanceRecord]]:
     """Fresh runs for each (tag, mixture) over the shared verification seeds."""
-    seeds = [config.base_seed + VERIFY_SEED_OFFSET + v for v in range(config.verify_seeds)]
+    records = _run_all(plan_phase(config, world, "verify", mixtures), jobs)
     suite = world.suite()
-    tasks = []
-    for tag, mixture in mixtures:
-        digits = "".join(str(label) for label in mixture.dataset_labels())
-        for seed in seeds:
-            tasks.append((world, mixture, config.train, seed, f"verify:{tag}:{digits}-s{seed}"))
-    records = _run_all(tasks, jobs)
-    per_mixture: list[list[float]] = []
-    for index in range(len(mixtures)):
-        rows = records[index * len(seeds) : (index + 1) * len(seeds)]
-        per_mixture.append([weighted_aggregate(r.scores, suite, "out") for r in rows])
-    return per_mixture, records, seeds
+    n = config.verify_seeds
+    per_mixture = [
+        [weighted_aggregate(r.scores, suite, "out") for r in records[index * n : (index + 1) * n]]
+        for index in range(len(mixtures))
+    ]
+    return per_mixture, records
 
 
 def run_full(config: PipelineConfig, jobs: int = 1) -> PipelineReport:
@@ -233,6 +266,12 @@ def run_full(config: PipelineConfig, jobs: int = 1) -> PipelineReport:
         from .records import read_records
 
         fitting_records = read_records(config.records_path, suite=world.suite())
+        for record in fitting_records:
+            if record.weights is not None and record.weights.m != world.m:
+                raise DimensionMismatch(
+                    f"record {record.id!r} in {config.records_path} has {record.weights.m} "
+                    f"weights for a world with {world.m} domains"
+                )
     else:
         fitting_records = run_seed_phase(config, world=world, jobs=jobs)
     return _fit_propose_verify(config, world, fitting_records, jobs=jobs, refine_rounds=0)
@@ -253,7 +292,7 @@ def _fit_propose_verify(
         (str(c), mixture) for c, (mixture, _) in enumerate(result.candidates)
     ]
     to_verify.append(("uniform", uniform))
-    realized, verification_records, seeds = _verify(world, to_verify, config, jobs)
+    realized, verification_records = _verify(world, to_verify, config, jobs)
 
     proposals = tuple(
         ProposalRow(weights=mixture, predicted=score, realized=tuple(realized[c]))
@@ -272,7 +311,7 @@ def _fit_propose_verify(
         proposals=proposals,
         uniform=uniform_row,
         verification_records=tuple(verification_records),
-        verify_seeds_used=tuple(seeds),
+        verify_seeds_used=tuple(verify_seeds(config)),
         refine_rounds=refine_rounds,
     )
 
@@ -291,12 +330,8 @@ def refine(report: PipelineReport, rounds: int, jobs: int = 1) -> PipelineReport
     current = report
     for _ in range(rounds):
         round_index = current.refine_rounds
-        tasks = []
-        for c, row in enumerate(current.proposals):
-            seed = config.base_seed + REFINE_SEED_OFFSET + REFINE_ROUND_STRIDE * round_index + c
-            digits = "".join(str(label) for label in row.weights.dataset_labels())
-            tasks.append((world, row.weights, config.train, seed, f"refine:{round_index}:{digits}-s{seed}"))
-        new_records = _run_all(tasks, jobs)
+        mixtures = [("", row.weights) for row in current.proposals]
+        new_records = _run_all(plan_phase(config, world, "refine", mixtures, round_index), jobs)
         fitting = list(current.fitting_records) + new_records
         current = _fit_propose_verify(config, world, fitting, jobs=jobs, refine_rounds=round_index + 1)
     return current

@@ -64,14 +64,18 @@ def init(
     )
 
 
-def _draw_domain(cumulative: np.ndarray, weights: np.ndarray, u: float) -> int:
-    index = int(np.searchsorted(cumulative, u, side="right"))
-    if index >= len(cumulative):
-        # u landed beyond the accumulated sum (rounding); take the last
-        # positively weighted domain rather than a zero-weight one
-        positive = np.flatnonzero(weights > 0.0)
-        index = int(positive[-1])
-    return index
+def draw_domains(cumulative: np.ndarray, weights: np.ndarray, u):
+    """Inverse-CDF domain draw for one uniform or an array of them.
+
+    The domain is the number of cumulative weights at or below ``u``.  When
+    ``u`` lands at or past the accumulated sum (rounding), it falls back to
+    the last positively weighted domain rather than a zero-weight one.  A
+    zero-weight domain adds no width to the CDF, so every index short of the
+    end already names a positively weighted domain and the cap only moves
+    the overshoot.
+    """
+    last_positive = int(np.flatnonzero(weights > 0.0)[-1])
+    return np.minimum(np.searchsorted(cumulative, u, side="right"), last_positive)
 
 
 def next_sample(state: SamplerState) -> tuple[int, int] | None:
@@ -80,7 +84,7 @@ def next_sample(state: SamplerState) -> tuple[int, int] | None:
         return None
     while True:
         u = state.rng.random()
-        domain = _draw_domain(state.cumulative, state._active, u)
+        domain = int(draw_domains(state.cumulative, state._active, u))
         if state.remaining(domain) > 0:
             item = int(state.queues[domain][state.positions[domain]])
             state.positions[domain] += 1
@@ -113,6 +117,36 @@ def stream(state: SamplerState, max_steps: int | None = None):
         count += 1
 
 
+def draw_stream(state: SamplerState, max_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Up to ``max_steps`` samples at once, as (domains, items) index arrays.
+
+    Gives the sequence :func:`next_sample` would, stop on exhaustion
+    included, from one bulk draw of ``max_steps`` uniforms.  The bulk draw
+    runs the generator past the stop, so the state is left finished.
+    """
+    if state.renormalize:
+        raise ValueError("draw_stream follows the stop-on-exhaustion rule only")
+    if state.finished:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    domains = draw_domains(state.cumulative, state._active, state.rng.random(max_steps))
+    # rank[t]: how many times domains[t] was drawn up to and including step t
+    hits = domains[:, None] == np.arange(state.catalog.m)
+    rank = np.cumsum(hits, axis=0)[np.arange(max_steps), domains]
+    remaining = np.array([state.remaining(d) for d in range(state.catalog.m)])
+    dry = np.flatnonzero(rank > remaining[domains])
+    length = int(dry[0]) if dry.size else max_steps
+    domains, rank = domains[:length], rank[:length]
+    items = np.empty(length, dtype=np.int64)
+    for d in range(state.catalog.m):
+        taken = domains == d
+        start = state.positions[d]
+        items[taken] = state.queues[d][start + rank[taken] - 1]
+        state.positions[d] = start + int(taken.sum())
+    state.steps_emitted += length
+    state.finished = True
+    return domains, items
+
+
 def empirical_frequencies(
     weights: MixtureWeights,
     n: int,
@@ -123,19 +157,16 @@ def empirical_frequencies(
 
     With the default pools (n items per domain) exhaustion cannot occur; pass
     explicit ``pool_sizes`` to surface Exhausted when a pool would run dry.
-    The domain-draw stage is simulated vectorized with the same inverse-CDF
-    rule as :func:`next_sample`.
+    The domain-draw stage is simulated vectorized with :func:`draw_domains`,
+    the rule :func:`next_sample` uses.
     """
     m = weights.m
     sizes = pool_sizes if pool_sizes is not None else [n] * m
     if len(sizes) != m:
         raise DimensionMismatch(f"{len(sizes)} pool sizes for {m} domains")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    cumulative = np.cumsum(weights.to_array())
-    draws = np.searchsorted(cumulative, u, side="right")
-    positive = np.flatnonzero(weights.to_array() > 0.0)
-    draws = np.minimum(draws, positive[-1])
+    weight_array = weights.to_array()
+    u = np.random.default_rng(seed).random(n)
+    draws = draw_domains(np.cumsum(weight_array), weight_array, u)
     counts = np.bincount(draws, minlength=m)
     over = [d for d in range(m) if counts[d] > sizes[d]]
     if over:

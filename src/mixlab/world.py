@@ -123,6 +123,14 @@ class SyntheticWorld:
         skill = int(self.pools[domain][item])
         return skill, int(self.answer_map[skill])
 
+    def tasks(self, domains: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(skills, gold answers) of many pooled tasks, one per (domain, item) pair."""
+        skills = np.zeros(len(domains), dtype=np.int64)
+        for d, pool in enumerate(self.pools):
+            taken = domains == d
+            skills[taken] = pool[items[taken]]
+        return skills, self.answer_map[skills]
+
 
 def _window_supports(m: int, trainable: int, overlap: float) -> list[list[int]]:
     """Evenly spaced skill windows; width stretches with the overlap fraction."""

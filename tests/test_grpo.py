@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixlab.errors import DimensionMismatch, GroupTooSmall, SupportMismatch
+from mixlab import grpo
 from mixlab.grpo import (
+    ACTION_STREAM_OFFSET,
     GrpoConfig,
     PolicyParams,
+    RunSpec,
     build_group,
     categorical_kl,
     clipped_term,
@@ -17,11 +20,15 @@ from mixlab.grpo import (
     learning_rate_at,
     objective_row_gradient,
     sample_actions,
+    train_policies,
+    train_runs,
     train_with_mixture,
 )
 from mixlab.mixtures import MixtureWeights
 from mixlab.records import serialize_record
-from mixlab.world import BenchmarkDef, WorldSpec, make_world
+from mixlab.sampler import init as sampler_init
+from mixlab.sampler import next_sample
+from mixlab.world import BenchmarkDef, WorldSpec, benchmark_scores, make_world
 
 
 class TestGroupAdvantages:
@@ -324,6 +331,108 @@ class TestTrainWithMixture:
         assert record.datasets == (1, 2)
         assert set(record.scores) == {"in-0", "out-all"}
         assert all(0.0 <= v <= 1.0 for v in record.scores.values())
+
+
+def reference_run(world, weights, config, seed):
+    """One run as a plain per-step grpo_step loop: (final theta, steps taken)."""
+    state = sampler_init(world.catalog(), weights, seed=seed)
+    rng = np.random.default_rng(seed + ACTION_STREAM_OFFSET)
+    policy = ref = PolicyParams.zeros(world.k, world.A)
+    steps = 0
+    while steps < config.steps:
+        drawn = next_sample(state)
+        if drawn is None:
+            break
+        policy = grpo_step(policy, world.task(*drawn), config, rng, ref, step=steps)
+        steps += 1
+    return policy.theta, steps
+
+
+RUN_MIXTURES = (
+    MixtureWeights((1.0, 0.0)),
+    MixtureWeights((0.0, 1.0)),
+    MixtureWeights((0.5, 0.5)),
+    MixtureWeights((0.3, 0.7)),
+    MixtureWeights((0.9, 0.1)),
+)
+
+
+def assert_lockstep_matches_reference(world, config, runs):
+    theta, steps = train_policies(world, runs, config)
+    records = train_runs(world, runs, config)
+    assert theta.shape == (len(runs), world.k, world.A)
+    for r, run in enumerate(runs):
+        ref_theta, ref_steps = reference_run(world, run.mixture, config, run.seed)
+        assert np.array_equal(theta[r], ref_theta), f"run {r} theta differs"
+        assert steps[r] == ref_steps
+        assert records[r].step == ref_steps
+        assert records[r].scores == benchmark_scores(world, ref_theta)
+        assert records[r].id == run.record_id
+    return steps
+
+
+class TestTrainRuns:
+    def test_fixed_length_runs_bit_equal(self):
+        world = tiny_world(pool=200)
+        config = GrpoConfig(group_size=6, steps=80)
+        runs = [RunSpec(mix, 10 + i, f"run{i}") for i, mix in enumerate(RUN_MIXTURES)]
+        steps = assert_lockstep_matches_reference(world, config, runs)
+        assert list(steps) == [80] * len(runs)
+
+    def test_ragged_runs_bit_equal(self):
+        world = tiny_world(pool=25)
+        config = GrpoConfig(group_size=6, steps=60)
+        runs = [RunSpec(mix, 20 + i, f"run{i}") for i, mix in enumerate(RUN_MIXTURES)]
+        steps = assert_lockstep_matches_reference(world, config, runs)
+        assert len(set(steps.tolist())) > 1 and steps.max() < 60
+
+    def test_inner_epochs_clip_path_bit_equal(self, monkeypatch):
+        world = tiny_world(pool=40)
+        config = GrpoConfig(group_size=16, steps=50, inner_epochs=2,
+                            clip_epsilon=0.05, peak_learning_rate=0.5)
+        runs = [RunSpec(mix, 30 + i, f"run{i}") for i, mix in enumerate(RUN_MIXTURES)]
+        clipped = []
+        original = grpo.objective_row_gradient
+
+        def counting(group, cfg):
+            ratios = np.exp(group.logp_theta - group.logp_old)
+            bounded = np.clip(ratios, 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon)
+            clipped.append(int((ratios * group.advantages > bounded * group.advantages).sum()))
+            return original(group, cfg)
+
+        monkeypatch.setattr(grpo, "objective_row_gradient", counting)
+        assert_lockstep_matches_reference(world, config, runs)
+        assert sum(clipped) > 0  # some samples left the trust region and were dropped
+
+    def test_kl_coeff_zero_bit_equal(self):
+        world = tiny_world(pool=60)
+        config = GrpoConfig(group_size=6, steps=70, kl_coeff=0.0)
+        runs = [RunSpec(mix, 40 + i, f"run{i}") for i, mix in enumerate(RUN_MIXTURES)]
+        assert_lockstep_matches_reference(world, config, runs)
+
+    def test_wider_action_space_bit_equal(self):
+        spec = WorldSpec(m=3, k=30, A=16, pool_sizes=(15, 40, 90), held_out_skills=3)
+        world = make_world(spec, seed=4)
+        config = GrpoConfig(group_size=16, steps=60, inner_epochs=2)
+        mixtures = (MixtureWeights((0.2, 0.3, 0.5)), MixtureWeights((1 / 3, 1 / 3, 1 / 3)),
+                    MixtureWeights((0.0, 0.0, 1.0)))
+        runs = [RunSpec(mix, 50 + i, f"run{i}") for i, mix in enumerate(mixtures)]
+        assert_lockstep_matches_reference(world, config, runs)
+
+    def test_default_record_id(self):
+        world = tiny_world()
+        record, = train_runs(world, [RunSpec(MixtureWeights((0.5, 0.5)), 3)], GrpoConfig(steps=5))
+        assert record.id == "mix12-s3"
+
+    def test_no_runs(self):
+        theta, steps = train_policies(tiny_world(), [], GrpoConfig(steps=5))
+        assert theta.shape == (0, 20, 4) and steps.shape == (0,)
+
+    def test_wrong_m_raises_before_training(self):
+        world = tiny_world()
+        runs = [RunSpec(MixtureWeights((0.5, 0.5)), 0), RunSpec(MixtureWeights((0.2, 0.3, 0.5)), 1)]
+        with pytest.raises(DimensionMismatch):
+            train_runs(world, runs, GrpoConfig(steps=5))
 
 
 def test_config_validation():

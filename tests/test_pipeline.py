@@ -4,18 +4,21 @@ import statistics
 import numpy as np
 import pytest
 
+from mixlab.errors import DimensionMismatch
 from mixlab.grpo import GrpoConfig
+from mixlab.mixtures import MixtureWeights, seed_all
 from mixlab.pipeline import (
     PipelineConfig,
     SeedPlan,
     pipeline_config_from_dict,
+    plan_phase,
     plan_seed_mixtures,
     refine,
     run_full,
     run_seed_phase,
     write_report,
 )
-from mixlab.records import read_records, serialize_record
+from mixlab.records import PerformanceRecord, read_records, serialize_record, write_records
 from mixlab.search import ProposalConfig
 from mixlab.surrogate import FitConfig, cross_validated_fit
 from mixlab.world import BenchmarkDef, WorldSpec, make_world
@@ -236,6 +239,68 @@ class TestParallelism:
         serial = run_seed_phase(config, jobs=1)
         parallel = run_seed_phase(config, jobs=2)
         assert [serialize_record(r) for r in serial] == [serialize_record(r) for r in parallel]
+
+
+class TestPlanPhase:
+    def test_seed_phase_seeds_and_ids(self):
+        config = small_config()
+        world = make_world(small_spec(), 3)
+        mixtures = [("", mix) for mix in plan_seed_mixtures(config.seed_plan, 3)]
+        plan = plan_phase(config, world, "seed", mixtures)
+        assert plan.world is world and plan.train is config.train
+        assert [run.seed for run in plan.runs] == list(range(7, 7 + 14))
+        assert [run.record_id for run in plan.runs[:3]] == ["seed:1:r0", "seed:1:r1", "seed:2:r0"]
+        assert plan.runs[-1].record_id == "seed:123:r1"
+
+    def test_verify_phase_shares_seeds_across_mixtures(self):
+        config = small_config()
+        mixtures = [("0", MixtureWeights((0.2, 0.3, 0.5))), ("uniform", seed_all(3))]
+        runs = plan_phase(config, make_world(small_spec(), 3), "verify", mixtures).runs
+        assert [run.seed for run in runs] == [10_007, 10_008] * 2
+        assert [run.record_id for run in runs] == [
+            "verify:0:123-s10007", "verify:0:123-s10008",
+            "verify:uniform:123-s10007", "verify:uniform:123-s10008",
+        ]
+
+    def test_refine_phase_one_run_per_mixture(self):
+        config = small_config()
+        mixtures = [("", MixtureWeights((1.0, 0.0, 0.0))), ("", MixtureWeights((0.0, 0.5, 0.5)))]
+        runs = plan_phase(config, make_world(small_spec(), 3), "refine", mixtures, round_index=2).runs
+        assert [(run.seed, run.record_id) for run in runs] == [
+            (22_007, "refine:2:1-s22007"), (22_008, "refine:2:23-s22008"),
+        ]
+
+    def test_unknown_phase(self):
+        with pytest.raises(ValueError):
+            plan_phase(small_config(), make_world(small_spec(), 3), "pilot", [("", seed_all(3))])
+
+
+class TestRecordsPath:
+    def test_wrong_m_records_rejected_before_fitting(self, tmp_path, monkeypatch):
+        import mixlab.pipeline as pipeline
+
+        path = tmp_path / "records.jsonl"
+        suite_scores = {"in-0": 0.5, "in-1": 0.5, "out-all": 0.5}
+        records = [
+            PerformanceRecord(f"r{i}", (1, 2, 3, 4), MixtureWeights(w), dict(suite_scores))
+            for i, w in enumerate([(0.25,) * 4, (0.4, 0.2, 0.2, 0.2), (0.1, 0.2, 0.3, 0.4)])
+        ]
+        write_records(records, path)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("fitting started on records of the wrong dimension")
+
+        monkeypatch.setattr(pipeline, "propose", fail)
+        with pytest.raises(DimensionMismatch, match="4 weights for a world with 3 domains"):
+            run_full(small_config(records_path=str(path)))
+
+    def test_matching_records_are_reused(self, tmp_path):
+        config = small_config()
+        path = tmp_path / "records.jsonl"
+        pilots = run_seed_phase(config)
+        write_records(pilots, path)
+        report = run_full(small_config(records_path=str(path)))
+        assert [r.id for r in report.fitting_records] == [r.id for r in pilots]
 
 
 class TestConfigFromDict:

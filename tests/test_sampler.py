@@ -4,7 +4,7 @@ from scipy import stats
 
 from mixlab.errors import DimensionMismatch, Exhausted
 from mixlab.mixtures import DomainCatalog, MixtureWeights, seed_all
-from mixlab.sampler import empirical_frequencies, init, next_sample, stream
+from mixlab.sampler import draw_domains, draw_stream, empirical_frequencies, init, next_sample, stream
 
 
 def catalog(*pool_sizes):
@@ -125,3 +125,73 @@ class TestEmpiricalFrequencies:
         for domain, _ in stream(state, max_steps=5000):
             counts[domain] += 1
         assert counts / 5000 == pytest.approx(weights.to_array(), abs=0.02)
+
+
+class TestDrawDomains:
+    def test_counts_cumulative_weights_at_or_below_u(self):
+        weights = np.array([0.2, 0.0, 0.5, 0.3])
+        u = np.array([0.0, 0.1999, 0.2, 0.69, 0.7, 0.9999])
+        assert list(draw_domains(np.cumsum(weights), weights, u)) == [0, 0, 2, 2, 3, 3]
+
+    def test_overshoot_falls_back_to_last_positive_domain(self):
+        weights = np.array([0.5, 0.4999999999, 0.0])
+        cumulative = np.cumsum(weights)
+        assert int(draw_domains(cumulative, weights, 0.99999999995)) == 1
+        assert list(draw_domains(cumulative, weights, np.array([0.25, 0.99999999995]))) == [0, 1]
+
+
+def sequential(state):
+    return [(int(d), int(i)) for d, i in stream(state)]
+
+
+def bulk(state, max_steps):
+    domains, items = draw_stream(state, max_steps)
+    return list(zip(domains.tolist(), items.tolist()))
+
+
+class TestDrawStream:
+    def test_matches_next_sample_random_configs(self):
+        rng = np.random.default_rng(12)
+        stopped_early = 0
+        for trial in range(40):
+            m = int(rng.integers(1, 6))
+            sizes = [int(rng.integers(1, 40)) for _ in range(m)]
+            weights = rng.uniform(0.0, 1.0, size=m) * (rng.random(m) < 0.8)
+            if weights.sum() == 0.0:
+                weights[0] = 1.0
+            mixture = MixtureWeights(tuple(weights / weights.sum()))
+            max_steps = int(rng.integers(0, 80))
+            expected = list(stream(init(catalog(*sizes), mixture, seed=trial), max_steps=max_steps))
+            got = bulk(init(catalog(*sizes), mixture, seed=trial), max_steps)
+            assert got == expected
+            stopped_early += len(expected) < max_steps
+        assert stopped_early > 5  # the exhaustion stop was exercised
+
+    def test_stop_on_exhaustion_leaves_state_finished(self):
+        state = init(catalog(1, 1000), MixtureWeights((0.5, 0.5)), seed=11)
+        expected = sequential(init(catalog(1, 1000), MixtureWeights((0.5, 0.5)), seed=11))
+        assert bulk(state, 500) == expected
+        assert state.positions == [1, len(expected) - 1]
+        assert state.steps_emitted == len(expected)
+        assert state.finished and next_sample(state) is None
+
+    def test_overshoot_fallback_matches_next_sample(self):
+        # shrink the CDF so about half the uniforms land past its end
+        def shrunk(seed):
+            state = init(catalog(400, 400, 400), MixtureWeights((0.3, 0.7, 0.0)), seed=seed)
+            state.cumulative = state.cumulative * 0.5
+            return state
+
+        expected = list(stream(shrunk(3), max_steps=300))
+        assert bulk(shrunk(3), 300) == expected
+        assert sum(d == 1 for d, _ in expected) > 200
+
+    def test_zero_steps_and_finished_state(self):
+        state = init(catalog(5, 5), MixtureWeights((0.5, 0.5)), seed=0)
+        assert bulk(state, 0) == []
+        assert bulk(state, 10) == []
+
+    def test_renormalize_rejected(self):
+        state = init(catalog(5, 5), MixtureWeights((0.5, 0.5)), seed=0, renormalize=True)
+        with pytest.raises(ValueError):
+            draw_stream(state, 3)

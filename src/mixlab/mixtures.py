@@ -76,9 +76,10 @@ class DomainCatalog:
 def validate(raw: Sequence[float] | Iterable[float]) -> MixtureWeights:
     """Check the simplex invariants and wrap the vector; never renormalizes.
 
-    Raises NegativeEntry for any entry < 0 and NotNormalized when the sum
-    deviates from 1 by more than SIMPLEX_ATOL.  Silent corrections of
-    user-supplied weights are deliberately avoided; use
+    Raises NegativeEntry for any entry < 0, and NotNormalized for a NaN or
+    infinite entry or when the sum deviates from 1 by more than
+    SIMPLEX_ATOL.  Silent corrections of user-supplied weights are
+    deliberately avoided; use
     :func:`normalize_to_simplex` when rescaling is wanted.
     """
     values = tuple(float(v) for v in raw)
@@ -87,6 +88,8 @@ def validate(raw: Sequence[float] | Iterable[float]) -> MixtureWeights:
     for i, v in enumerate(values):
         if v < 0.0:
             raise NegativeEntry(f"weight at position {i} is negative: {v}")
+        if not math.isfinite(v):
+            raise NotNormalized(f"weight at position {i} is not finite: {v}")
     total = math.fsum(values)
     if abs(total - 1.0) > SIMPLEX_ATOL:
         raise NotNormalized(f"weights sum to {total!r}; expected 1 within {SIMPLEX_ATOL}")

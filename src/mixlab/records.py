@@ -27,6 +27,7 @@ from .errors import (
 from .mixtures import MixtureWeights, validate
 
 GROUPS = ("in", "out")
+_WEIGHT_TYPES = frozenset({int, float})
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,9 @@ def _parse_record_line(line: str, line_number: int, known: set[str] | None) -> P
     raw_weights = obj["weights"]
     weights = None
     if raw_weights is not None:
-        if not isinstance(raw_weights, list):
-            raise MalformedLine(line_number, "weights must be a list or null")
+        # exact types: json.loads yields no subclasses, and bool is not a weight
+        if not isinstance(raw_weights, list) or not set(map(type, raw_weights)) <= _WEIGHT_TYPES:
+            raise MalformedLine(line_number, "weights must be a list of numbers or null")
         try:
             weights = validate(raw_weights)
         except Exception as exc:

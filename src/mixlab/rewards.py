@@ -84,14 +84,55 @@ def extract_answer(text: str, mode: str = "text"):
     return 1, boxes
 
 
+# Fast path for the canonical box payload.  It accepts only spans on which
+# ast.literal_eval + float() give the same numbers: ASCII whitespace the
+# tokenizer allows, [0-9] digits, quotes paired per key, no leading zeros.
+_WS = r"[ \t\n]*"
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?"
+_POSITION = (rf"(['\"])Position\1{_WS}:{_WS}\[{_WS}"
+             + rf"{_WS},{_WS}".join([_NUMBER] * 4) + rf"{_WS}\]")
+_CONFIDENCE = rf"(['\"])Confidence\2{_WS}:{_WS}{_NUMBER}"
+_BOX_ITEM = r"\{" + _WS + _POSITION + _WS + "," + _WS + _CONFIDENCE + _WS + r"\}"
+# one or more items, comma-separated, no trailing comma
+_BOX_PAYLOAD = re.compile(
+    rf"\[(?:{_WS}{_BOX_ITEM}{_WS}(?:,(?!{_WS}\])|(?=\])))+\]", re.ASCII
+)
+# In a span _BOX_PAYLOAD matched, the keys hold no digits, so these are the
+# five numbers of each item in order.
+_NUMBER_TOKEN = re.compile(r"-?[0-9]+(?:\.[0-9]+)?", re.ASCII)
+
+
 def _parse_box_payload(span: str):
     """Parse ``[{'Position': [x1, y1, x2, y2], 'Confidence': c}, ...]`` or None.
 
-    Accepts single- or double-quoted keys and integer or decimal numbers.
+    Spans in the canonical shape (single- or double-quoted keys, Position
+    first, integer or plain decimal numbers, spaces, tabs and newlines) are
+    read by a compiled pattern; every other span goes to
+    :func:`_parse_box_literal`.  Both give the same result on the spans the
+    pattern accepts.  Any bad item, out-of-order corners, or a number too
+    large for a float makes the whole payload None.
     """
+    if _BOX_PAYLOAD.fullmatch(span) is None:
+        return _parse_box_literal(span)
+    try:
+        values = [float(t) if "." in t else float(int(t)) for t in _NUMBER_TOKEN.findall(span)]
+    except (OverflowError, ValueError):
+        return None
+    parsed = []
+    for i in range(0, len(values), 5):
+        try:
+            box = BoundingBox(values[i], values[i + 1], values[i + 2], values[i + 3])
+        except InvalidBox:
+            return None
+        parsed.append((box, values[i + 4]))
+    return parsed
+
+
+def _parse_box_literal(span: str):
+    """The general box parser: ``ast.literal_eval`` plus shape and type checks."""
     try:
         obj = ast.literal_eval(span)
-    except (ValueError, SyntaxError, MemoryError, RecursionError):
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
         return None
     if not isinstance(obj, list) or not obj:
         return None
@@ -107,9 +148,9 @@ def _parse_box_payload(span: str):
             return None
         try:
             box = BoundingBox(*(float(v) for v in position))
-        except InvalidBox:
+            parsed.append((box, float(confidence)))
+        except (InvalidBox, OverflowError):
             return None
-        parsed.append((box, float(confidence)))
     return parsed
 
 

@@ -48,6 +48,13 @@ class TestValidate:
         with pytest.raises(NotNormalized):
             validate([0.5, 0.5 + 2e-9])
 
+    def test_non_finite_entries(self):
+        for raw in ([math.nan, 1.0], [0.5, math.nan, 0.5], [math.inf, 1.0]):
+            with pytest.raises(NotNormalized):
+                validate(raw)
+        with pytest.raises(NegativeEntry):
+            validate([-math.inf, 1.0])
+
 
 class TestSeedGenerators:
     def test_single_first(self):
@@ -147,6 +154,13 @@ class TestMixtureFile:
     def test_parse_validates(self):
         with pytest.raises(NotNormalized):
             parse_mixture("0.9,0.2")
+
+    def test_parse_rejects_non_finite(self):
+        for line in ("nan,1", "1,NaN", "inf,0"):
+            with pytest.raises(NotNormalized):
+                parse_mixture(line)
+        with pytest.raises(NegativeEntry):
+            parse_mixture("-inf,1")
 
 
 class TestDomainCatalog:

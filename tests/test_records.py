@@ -157,6 +157,22 @@ class TestParseRecords:
         with pytest.raises(MalformedLine):
             parse_records([line])
 
+    def test_non_finite_weights(self):
+        for weights in ("[NaN, 1.0]", "[1.0, NaN]", "[Infinity, 1.0]", "[-Infinity, 1.0]"):
+            line = f'{{"id": "x", "datasets": [1, 2], "weights": {weights}, "scores": {{}}}}'
+            with pytest.raises(MalformedLine):
+                parse_records([line])
+
+    def test_non_number_weights(self):
+        for weights in ('["0.5", "0.5"]', "[true, false]", "[1, false]", "[null, 1.0]", "[[1.0], 0.0]"):
+            line = f'{{"id": "x", "datasets": [1, 2], "weights": {weights}, "scores": {{}}}}'
+            with pytest.raises(MalformedLine):
+                parse_records([line])
+
+    def test_integer_weights(self):
+        line = '{"id": "x", "datasets": [2], "weights": [0, 1], "scores": {}}'
+        assert parse_records([line])[0].weights.weights == (0.0, 1.0)
+
     def test_duplicate_datasets(self):
         line = '{"id": "x", "datasets": [1, 1], "weights": null, "scores": {}}'
         with pytest.raises(MalformedLine):

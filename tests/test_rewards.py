@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mixlab import rewards
 from mixlab.errors import InvalidBox, MalformedLine
 from mixlab.rewards import (
     BoundingBox,
     RewardWeights,
+    _parse_box_literal,
+    _parse_box_payload,
     accuracy_reward,
     best_box,
     combined_reward,
@@ -59,6 +62,24 @@ class TestExtractAnswer:
             text = f"<think>x</think><answer>{payload}</answer>"
             assert extract_answer(text, mode="box") == (0, None)
 
+    def test_number_too_large_for_float_is_format_failure(self):
+        huge = "9" * 400
+        payloads = [f"[{{'Position': [0, 0, {huge}, 1], 'Confidence': 1}}]",
+                    f"[{{'Position': [0, 0, 1, 1], 'Confidence': -{huge}}}]",
+                    f"[{{'Confidence': {huge}, 'Position': [0, 0, 1, 1]}}]",
+                    f"[{{'Position': [0, 0, 1, 1], 'Confidence': {'9' * 5000}}}]"]
+        texts = [f"<think>x</think><answer>{payload}</answer>" for payload in payloads]
+        for text in texts:
+            assert extract_answer(text, mode="box") == (0, None)
+        pairs = [(text, [0, 0, 1, 1]) for text in texts] + [(GROUNDED, [422, 781, 464, 926])]
+        lines = [json.dumps({"prediction": p, "gold": g, "mode": "box"}) for p, g in pairs]
+        assert [r.total for r in score_pairs(lines)] == [0.0, 0.0, 0.0, 0.0, 3.0]
+
+    def test_unhashable_literal_is_format_failure(self):
+        for payload in ("{[1]: 2}", "[{[]}]"):
+            text = f"<think>x</think><answer>{payload}</answer>"
+            assert extract_answer(text, mode="box") == (0, None)
+
     def test_multiline_think_body(self):
         text = "<think>line one\nline two</think>\n<answer>C</answer>"
         assert extract_answer(text) == (1, "C")
@@ -79,6 +100,106 @@ class TestExtractAnswer:
     def test_closed_under_tag_padding(self, pad):
         text = f"<think>body</think>{pad}<answer>B</answer>"
         assert extract_answer(text) == (1, "B")
+
+
+def exact(boxes):
+    """Parse result with every float as its repr, so -0.0 differs from 0.0."""
+    if boxes is None:
+        return None
+    return [(tuple(repr(v) for v in (b.x1, b.y1, b.x2, b.y2)), repr(c)) for b, c in boxes]
+
+
+ODD_NUMBERS = ["-0", "-0.0", "007", "00.5", "1e3", ".5", "1.", "1_0", "9" * 400,
+               "-" + "9" * 400, "9" * 400 + ".5", "\u0661", "1\u0661", "0.\u0665", "True", "0x1f"]
+PLAIN_SPACES = ["", " ", " ", "  ", "\t", "\n"]
+ODD_SPACES = ["\xa0", "\v", "\x0c", "\r\n"]
+
+
+@st.composite
+def box_spans(draw):
+    """Canonical box payloads, or (``odd``) near-misses with scattered defects."""
+    odd = draw(st.booleans())
+    rng = draw(st.randoms(use_true_random=True))
+
+    def rare(chance=10):
+        return odd and rng.randrange(chance) == 0
+
+    def ws():
+        return rng.choice(ODD_SPACES if rare() else PLAIN_SPACES)
+
+    def value():
+        if rng.randrange(40) == 0:
+            return rng.choice([10**400, -10**400])
+        return rng.randint(-300, 300) if rng.random() < 0.5 else rng.randint(-999, 999) / 100
+
+    def number(v):
+        return rng.choice(ODD_NUMBERS) if rare() else str(v)
+
+    def key(name):
+        quote = rng.choice("'\"")
+        close = ('"' if quote == "'" else "'") if rare(20) else quote
+        return f"{ws()}{quote}{name}{close}{ws()}:{ws()}"
+
+    items = []
+    for _ in range(rng.randint(1, 3)):
+        x1, y1, x2, y2 = (value() for _ in range(4))
+        if rng.randrange(8):  # otherwise the corners stay in random order
+            x1, x2, y1, y2 = min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2)
+        corners = [number(v) for v in (x1, y1, x2, y2)]
+        if rare(20):
+            corners = corners[:3]
+        position = key("Position") + "[" + ",".join(ws() + c + ws() for c in corners) + "]" + ws()
+        confidence = key("Confidence") + number(value()) + ws()
+        fields = [position, confidence]
+        if rare(20):
+            fields.reverse()
+        if rare(20):
+            fields.append(" 'Extra': 1")
+        items.append("{" + ",".join(fields) + ("," if rare(20) else "") + "}")
+    return "[" + ",".join(ws() + item + ws() for item in items) + ("," if rare(20) else "") + "]"
+
+
+class TestBoxPayloadParsers:
+    @given(box_spans())
+    @settings(max_examples=500, deadline=None)
+    def test_fast_path_matches_literal_eval(self, span):
+        assert exact(_parse_box_payload(span)) == exact(_parse_box_literal(span))
+
+    def test_each_path_taken(self, monkeypatch):
+        calls = []
+
+        def recording(span):
+            calls.append(span)
+            return _parse_box_literal(span)
+
+        monkeypatch.setattr(rewards, "_parse_box_literal", recording)
+        canonical = ("[{'Position': [0, 1, 2, 3], \"Confidence\": 0.5},\n"
+                     "{'Position': [-0, 0, 1, 1], 'Confidence': 1}]")
+        assert exact(_parse_box_payload(canonical)) == [
+            (("0.0", "1.0", "2.0", "3.0"), "0.5"), (("0.0", "0.0", "1.0", "1.0"), "1.0")]
+        assert calls == []
+        reordered = "[{'Confidence': 0.5, 'Position': [0, 1, 2, 3]}]"
+        assert exact(_parse_box_payload(reordered)) == [(("0.0", "1.0", "2.0", "3.0"), "0.5")]
+        assert calls == [reordered]
+
+    def test_near_misses_fall_through(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rewards, "_parse_box_literal", lambda span: calls.append(span))
+        near_misses = [
+            "[{'Position\": [0, 0, 1, 1], 'Confidence': 1}]",
+            "[{'Position': [0, 0, 1, 1], 'Confidence': 1},]",
+            "[{'Position': [0, 0, 1, 1], 'Confidence': 1,}]",
+            "[{'Position': [0, 0, 1, 1], 'Confidence': 1, 'Extra': 2}]",
+            "[{'Position': [007, 0, 1, 1], 'Confidence': 1}]",
+            "[{'Position': [0, 0, 1e3, 1], 'Confidence': 1}]",
+            "[{'Position': [0, 0, 1, 1], 'Confidence': .5}]",
+            "[{'Position': [0, 0, 1, 1],\xa0'Confidence': 1}]",
+            "[{'Position': [0, 0, 1, 1],\v'Confidence': 1}]",
+            "[{'Position': [0, 0, 1\u0661, 1], 'Confidence': 0.\u0665}]",
+        ]
+        for span in near_misses:
+            _parse_box_payload(span)
+        assert calls == near_misses
 
 
 class TestAccuracyReward:

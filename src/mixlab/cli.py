@@ -19,7 +19,8 @@ from .errors import MixLabError
 from .grpo import GrpoConfig, train_with_mixture
 from .heuristics import AlphaConfig, alpha_weights, colinearity_weights, leave_one_out_weights
 from .mixtures import format_mixture, read_mixture_file
-from .pipeline import pipeline_config_from_dict, refine, run_full, write_report
+from .pipeline import pipeline_config_from_dict, run_full, write_report
+from .pipeline import refine  # noqa: F401  (unused; perfbench/tracing.py patches this binding)
 from .records import (
     bundled_suite,
     read_records,
@@ -280,11 +281,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    if args.refine_rounds < 0:
+        raise UsageError(f"--refine-rounds must be >= 0, got {args.refine_rounds}")
     config = pipeline_config_from_dict(json.loads(Path(args.config).read_text()))
     _note_seed(config.base_seed)
-    report = run_full(config, jobs=args.jobs)
-    if args.refine_rounds > 0:
-        report = refine(report, args.refine_rounds, jobs=args.jobs)
+    report = run_full(config, refine_rounds=args.refine_rounds)
     write_report(report, args.out_dir)
     print(report.summary_table())
     return 0

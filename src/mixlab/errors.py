@@ -63,10 +63,6 @@ class EmptyRecords(MixLabError):
     """No usable performance records were supplied."""
 
 
-class ZeroCombined(MixLabError):
-    """Combined heuristic scores sum to zero; weights are undefined."""
-
-
 class SingularSystem(MixLabError):
     """Ridge system is not guaranteed invertible (requires lambda > 0)."""
 

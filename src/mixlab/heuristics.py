@@ -34,7 +34,6 @@ from .errors import (
     MissingCombination,
     MixLabError,
     MixLabWarning,
-    ZeroCombined,
 )
 from .mixtures import MixtureWeights, normalize_to_simplex
 from .records import BenchmarkSpec, PerformanceRecord, bundled_suite, weighted_aggregate
@@ -156,8 +155,6 @@ def alpha_weights(
         return MixtureWeights(tuple([1.0 / m] * m))
 
     combined = cfg.alpha * norm_in + (1.0 - cfg.alpha) * norm_out
-    if combined.sum() <= 0.0:
-        raise ZeroCombined("combined scores sum to zero")
     return normalize_to_simplex(combined)
 
 

@@ -99,8 +99,9 @@ def validate(raw: Sequence[float] | Iterable[float]) -> MixtureWeights:
 def normalize_to_simplex(raw: Sequence[float] | np.ndarray) -> MixtureWeights:
     """Rescale a non-negative vector so it sums to 1.
 
-    Companion to :func:`validate` for code paths (candidate search) that
-    construct weights from unnormalized non-negative scores.
+    Companion to :func:`validate` for code paths (the heuristics) that
+    construct weights from unnormalized non-negative scores.  A NaN or
+    infinite entry, or a sum that overflows, raises NotNormalized.
     """
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -108,6 +109,8 @@ def normalize_to_simplex(raw: Sequence[float] | np.ndarray) -> MixtureWeights:
     if (arr < 0).any():
         raise NegativeEntry("cannot project a vector with negative entries")
     total = float(arr.sum())
+    if not math.isfinite(total):
+        raise NotNormalized(f"cannot normalize a vector with a non-finite entry or sum: {total}")
     if total <= 0.0:
         raise NotNormalized("cannot normalize a vector that sums to zero")
     return MixtureWeights(tuple(arr / total))

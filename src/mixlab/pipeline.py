@@ -1,14 +1,16 @@
 """End-to-end mixture optimization: pilot runs, surrogate fit, proposal, verification.
 
 The flow is: train one pilot per planned seed mixture, fit the cross-validated
-surrogate on the pilot records, sample and rank candidate mixtures, then
-verify the top candidates and the uniform baseline with fresh seeds the
-fitting never saw.
+surrogate on the pilot records, and sample and rank candidate mixtures.  Each
+optional refinement round trains the current proposals, adds their records to
+the fitting set, and refits and re-proposes.  After the last round, the final
+proposals and the uniform baseline are verified once, with fresh seeds the
+fitting never saw.  :func:`run_full` with ``refine_rounds=n`` does all of it
+in one call; :func:`refine` continues an existing report the same way.
 
-Every training phase (seed, verify, refine) is planned by :func:`plan_phase`
+Every training phase (seed, refine, verify) is planned by :func:`plan_phase`
 as a list of :class:`~mixlab.grpo.RunSpec` and trained in one process as one
-lockstep batch by :func:`~mixlab.grpo.train_runs`.  The ``jobs`` arguments
-(and the CLI's ``--jobs``) are accepted for compatibility and have no effect.
+lockstep batch by :func:`~mixlab.grpo.train_runs`.
 Seed bookkeeping is all fixed arithmetic on the config's ``base_seed`` so
 every stage is reproducible and the fitting and verification run sets stay
 disjoint by construction:
@@ -182,16 +184,14 @@ def plan_seed_mixtures(plan: SeedPlan, m: int) -> list[MixtureWeights]:
 
 
 class PhasePlan(NamedTuple):
-    """Every training run of one phase, in record order, and what they share."""
+    """Every training run of one phase, in record order, and the trainer settings they share."""
 
-    world: SyntheticWorld
     train: GrpoConfig
     runs: list[RunSpec]
 
 
 def plan_phase(
     config: PipelineConfig,
-    world: SyntheticWorld,
     phase: str,
     mixtures: Sequence[tuple[str, MixtureWeights]],
     round_index: int = 0,
@@ -217,7 +217,7 @@ def plan_phase(
             runs.append(RunSpec(mixture, seed, f"refine:{round_index}:{digits}-s{seed}"))
         else:
             raise ValueError(f"unknown phase {phase!r}")
-    return PhasePlan(world, config.train, runs)
+    return PhasePlan(config.train, runs)
 
 
 def verify_seeds(config: PipelineConfig) -> list[int]:
@@ -225,42 +225,23 @@ def verify_seeds(config: PipelineConfig) -> list[int]:
     return [config.base_seed + VERIFY_SEED_OFFSET + v for v in range(config.verify_seeds)]
 
 
-def _run_all(tasks: PhasePlan, jobs: int) -> list[PerformanceRecord]:
-    """Train one phase as a single lockstep batch; ``jobs`` has no effect."""
-    return train_runs(tasks.world, tasks.runs, tasks.train)
+def _run_all(world: SyntheticWorld, plan: PhasePlan) -> list[PerformanceRecord]:
+    """Train one phase as a single lockstep batch; every phase's records pass through here."""
+    return train_runs(world, plan.runs, plan.train)
 
 
-def run_seed_phase(
-    config: PipelineConfig,
-    world: SyntheticWorld | None = None,
-    jobs: int = 1,
-) -> list[PerformanceRecord]:
+def run_seed_phase(config: PipelineConfig, world: SyntheticWorld | None = None) -> list[PerformanceRecord]:
     """Train one pilot run per planned seed mixture and replicate."""
     if world is None:
         world = make_world(config.world_spec, config.world_seed)
     mixtures = [("", mixture) for mixture in plan_seed_mixtures(config.seed_plan, world.m)]
-    return _run_all(plan_phase(config, world, "seed", mixtures), jobs)
+    return _run_all(world, plan_phase(config, "seed", mixtures))
 
 
-def _verify(
-    world: SyntheticWorld,
-    mixtures: Sequence[tuple[str, MixtureWeights]],
-    config: PipelineConfig,
-    jobs: int,
-) -> tuple[list[list[float]], list[PerformanceRecord]]:
-    """Fresh runs for each (tag, mixture) over the shared verification seeds."""
-    records = _run_all(plan_phase(config, world, "verify", mixtures), jobs)
-    suite = world.suite()
-    n = config.verify_seeds
-    per_mixture = [
-        [weighted_aggregate(r.scores, suite, "out") for r in records[index * n : (index + 1) * n]]
-        for index in range(len(mixtures))
-    ]
-    return per_mixture, records
-
-
-def run_full(config: PipelineConfig, jobs: int = 1) -> PipelineReport:
-    """Pilot phase, surrogate fit, proposal, and paired verification in one pass."""
+def run_full(config: PipelineConfig, refine_rounds: int = 0) -> PipelineReport:
+    """Pilots, surrogate fit and proposal, ``refine_rounds`` refinement rounds, one verification."""
+    if refine_rounds < 0:
+        raise ValueError(f"refine_rounds must be >= 0, got {refine_rounds}")
     world = make_world(config.world_spec, config.world_seed)
     if config.records_path is not None:
         from .records import read_records
@@ -273,68 +254,72 @@ def run_full(config: PipelineConfig, jobs: int = 1) -> PipelineReport:
                     f"weights for a world with {world.m} domains"
                 )
     else:
-        fitting_records = run_seed_phase(config, world=world, jobs=jobs)
-    return _fit_propose_verify(config, world, fitting_records, jobs=jobs, refine_rounds=0)
+        fitting_records = run_seed_phase(config, world=world)
+    return _refine_and_verify(config, world, fitting_records, 0, refine_rounds)
 
 
-def _fit_propose_verify(
+def refine(report: PipelineReport, rounds: int) -> PipelineReport:
+    """Continue a report by ``rounds`` more refinement rounds, then verify once.
+
+    Each round trains one fresh run per currently proposed mixture, appends
+    its record to the fitting set (so the record count grows by k per round)
+    and refits and re-proposes.  Zero rounds returns the report unchanged.
+    """
+    if rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {rounds}")
+    if rounds == 0:
+        return report
+    config = report.config
+    world = make_world(config.world_spec, config.world_seed)
+    return _refine_and_verify(config, world, report.fitting_records, report.refine_rounds, rounds)
+
+
+def _refine_and_verify(
     config: PipelineConfig,
     world: SyntheticWorld,
     fitting_records: Sequence[PerformanceRecord],
-    jobs: int,
-    refine_rounds: int,
+    done: int,
+    rounds: int,
 ) -> PipelineReport:
+    """Propose; run refinement rounds ``done .. done + rounds - 1``; verify the last proposals.
+
+    Only the final proposals (and the uniform baseline) are verified: the
+    seeds, ids and proposals of a refinement round never depend on a
+    verification, so intermediate ones would be trained and thrown away.
+    """
     suite = world.suite()
-    result = propose(fitting_records, config.fit, config.proposal, suite=suite)
+    fitting = list(fitting_records)
+    result = propose(fitting, config.fit, config.proposal, suite=suite)
+    for round_index in range(done, done + rounds):
+        mixtures = [("", mixture) for mixture, _ in result.candidates]
+        fitting += _run_all(world, plan_phase(config, "refine", mixtures, round_index))
+        result = propose(fitting, config.fit, config.proposal, suite=suite)
 
     uniform = seed_all(world.m)
-    to_verify: list[tuple[str, MixtureWeights]] = [
-        (str(c), mixture) for c, (mixture, _) in enumerate(result.candidates)
-    ]
+    to_verify = [(str(c), mixture) for c, (mixture, _) in enumerate(result.candidates)]
     to_verify.append(("uniform", uniform))
-    realized, verification_records = _verify(world, to_verify, config, jobs)
-
+    verification_records = _run_all(world, plan_phase(config, "verify", to_verify))
+    n = config.verify_seeds
+    realized = [
+        tuple(weighted_aggregate(r.scores, suite, "out") for r in verification_records[c * n : (c + 1) * n])
+        for c in range(len(to_verify))
+    ]
     proposals = tuple(
-        ProposalRow(weights=mixture, predicted=score, realized=tuple(realized[c]))
+        ProposalRow(weights=mixture, predicted=score, realized=realized[c])
         for c, (mixture, score) in enumerate(result.candidates)
     )
-    uniform_row = ProposalRow(
-        weights=uniform,
-        predicted=predict(result.model, uniform),
-        realized=tuple(realized[-1]),
-    )
+    uniform_row = ProposalRow(weights=uniform, predicted=predict(result.model, uniform), realized=realized[-1])
     return PipelineReport(
         config=config,
-        fitting_records=tuple(fitting_records),
+        fitting_records=tuple(fitting),
         fit_report=result.report,
         model=result.model,
         proposals=proposals,
         uniform=uniform_row,
         verification_records=tuple(verification_records),
         verify_seeds_used=tuple(verify_seeds(config)),
-        refine_rounds=refine_rounds,
+        refine_rounds=done + rounds,
     )
-
-
-def refine(report: PipelineReport, rounds: int, jobs: int = 1) -> PipelineReport:
-    """Realize the current proposals, fold them into the fit, and re-propose.
-
-    Each round adds one fresh record per proposed mixture to the fitting set
-    (so the record count grows by k per round), then refits and re-verifies.
-    Zero rounds returns the report unchanged.
-    """
-    if rounds <= 0:
-        return report
-    config = report.config
-    world = make_world(config.world_spec, config.world_seed)
-    current = report
-    for _ in range(rounds):
-        round_index = current.refine_rounds
-        mixtures = [("", row.weights) for row in current.proposals]
-        new_records = _run_all(plan_phase(config, world, "refine", mixtures, round_index), jobs)
-        fitting = list(current.fitting_records) + new_records
-        current = _fit_propose_verify(config, world, fitting, jobs=jobs, refine_rounds=round_index + 1)
-    return current
 
 
 def write_report(report: PipelineReport, out_dir: str | Path) -> dict[str, Path]:

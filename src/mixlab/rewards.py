@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -23,7 +24,7 @@ _WS_RUN = re.compile(r"\s+")
 
 @dataclass(frozen=True)
 class BoundingBox:
-    """Axis-aligned box in pixel coordinates, corners (x1, y1) <= (x2, y2)."""
+    """Axis-aligned box in pixel coordinates: (x1, y1) <= (x2, y2), finite width and height."""
 
     x1: float
     y1: float
@@ -31,8 +32,10 @@ class BoundingBox:
     y2: float
 
     def __post_init__(self):
-        if self.x1 > self.x2 or self.y1 > self.y2:
-            raise InvalidBox(f"box corners out of order: {self}")
+        # both differences are >= 0 once the corners are ordered, so the sum is finite iff each is
+        if not (self.x1 <= self.x2 and self.y1 <= self.y2
+                and math.isfinite(self.x2 - self.x1 + self.y2 - self.y1)):
+            raise InvalidBox(f"box corners out of order or not finite: {self}")
 
     @property
     def area(self) -> float:
@@ -140,22 +143,26 @@ def _parse_box_literal(span: str):
     for item in obj:
         if not isinstance(item, dict) or "Position" not in item or "Confidence" not in item:
             return None
-        position = item["Position"]
+        box = _box(item["Position"])
         confidence = item["Confidence"]
-        if not isinstance(position, (list, tuple)) or len(position) != 4:
-            return None
-        if not all(_is_number(v) for v in position) or not _is_number(confidence):
+        if box is None or type(confidence) not in (int, float):
             return None
         try:
-            box = BoundingBox(*(float(v) for v in position))
             parsed.append((box, float(confidence)))
-        except (InvalidBox, OverflowError):
+        except OverflowError:
             return None
     return parsed
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _box(position) -> BoundingBox | None:
+    """Four ints or floats ``[x1, y1, x2, y2]`` (not bools) as a BoundingBox, or None."""
+    if not (isinstance(position, (list, tuple)) and len(position) == 4
+            and set(map(type, position)) <= {int, float}):
+        return None
+    try:
+        return BoundingBox(*map(float, position))
+    except (InvalidBox, OverflowError):
+        return None
 
 
 def normalize_answer(text: str) -> str:
@@ -237,9 +244,15 @@ def score_pairs(lines: Iterable[str], weights: RewardWeights = DEFAULT_WEIGHTS) 
             raise MalformedLine(line_number, f"invalid JSON: {exc.msg}") from exc
         if not isinstance(obj, dict) or not {"prediction", "gold", "mode"} <= obj.keys():
             raise MalformedLine(line_number, "expected {prediction, gold, mode}")
-        if obj["mode"] not in ("text", "box"):
-            raise MalformedLine(line_number, f"unknown mode {obj['mode']!r}")
-        results.append(score_pair(obj["prediction"], obj["gold"], obj["mode"], weights))
+        prediction, gold, mode = obj["prediction"], obj["gold"], obj["mode"]
+        if mode not in ("text", "box"):
+            raise MalformedLine(line_number, f"unknown mode {mode!r}")
+        if mode == "box":
+            gold = _box(gold)
+        if not isinstance(prediction, str) or not isinstance(gold, (str, BoundingBox)):
+            raise MalformedLine(line_number, "expected a string prediction and a string gold (text mode) "
+                                             "or a gold box [x1, y1, x2, y2] (box mode)")
+        results.append(score_pair(prediction, gold, mode, weights))
     return results
 
 

@@ -204,28 +204,54 @@ class TestSimulate:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+PIPELINE_ARTIFACTS = ("records.jsonl", "model.json", "report.json", "summary.txt")
+
+
+@pytest.fixture
+def pipeline_config_file(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "world": {
+            "m": 2, "k": 12, "A": 4, "pool_sizes": [40, 40],
+            "domain_skills": [[0, 1, 2, 3, 4, 5], [4, 5, 6, 7, 8, 9]],
+        },
+        "train": {"steps": 30},
+        "seed_plan": {"replicates": 2},
+        "fit": {"degree": 2, "n_splits": 3, "test_fraction": 0.34, "seed": 1},
+        "proposal": {"n_samples": 200, "k": 2, "seed": 1},
+        "verify_seeds": 2,
+        "base_seed": 5,
+    }))
+    return path
+
+
 class TestPipelineCommand:
-    def test_end_to_end(self, capsys, tmp_path):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({
-            "world": {
-                "m": 2, "k": 12, "A": 4, "pool_sizes": [40, 40],
-                "domain_skills": [[0, 1, 2, 3, 4, 5], [4, 5, 6, 7, 8, 9]],
-            },
-            "train": {"steps": 30},
-            "seed_plan": {"replicates": 2},
-            "fit": {"degree": 2, "n_splits": 3, "test_fraction": 0.34, "seed": 1},
-            "proposal": {"n_samples": 200, "k": 2, "seed": 1},
-            "verify_seeds": 2,
-            "base_seed": 5,
-        }))
+    def test_end_to_end(self, capsys, tmp_path, pipeline_config_file):
         out_dir = tmp_path / "out"
-        code, out, _ = run_cli(capsys, "pipeline", "--config", str(config_path),
+        code, out, _ = run_cli(capsys, "pipeline", "--config", str(pipeline_config_file),
                                "--out-dir", str(out_dir))
         assert code == 0
-        for name in ("records.jsonl", "model.json", "report.json", "summary.txt"):
+        for name in PIPELINE_ARTIFACTS:
             assert (out_dir / name).exists()
         assert "delta of top predicted mixture vs uniform" in out
+
+    def test_jobs_is_ignored(self, capsys, tmp_path, pipeline_config_file):
+        written = []
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / f"out-{jobs}"
+            code, _, _ = run_cli(capsys, "pipeline", "--config", str(pipeline_config_file),
+                                 "--out-dir", str(out_dir), "--jobs", jobs, "--refine-rounds", "1")
+            assert code == 0
+            written.append([(out_dir / name).read_bytes() for name in PIPELINE_ARTIFACTS])
+        assert written[0] == written[1]
+
+    def test_negative_refine_rounds_is_usage_error(self, capsys, tmp_path, pipeline_config_file):
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "pipeline", "--config", str(pipeline_config_file),
+                               "--out-dir", str(out_dir), "--refine-rounds", "-1")
+        assert code == 1
+        assert "--refine-rounds" in err
+        assert not out_dir.exists()
 
 
 def test_console_script_installed():

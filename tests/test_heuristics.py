@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixlab.errors import (
     AllZeroAdjusted,
@@ -15,6 +18,7 @@ from mixlab.heuristics import (
     colinearity_weights,
     leave_one_out_weights,
 )
+from mixlab.records import BenchmarkSpec
 from tests.conftest import make_record
 
 
@@ -97,6 +101,23 @@ class TestAlphaWeights:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AlphaConfig(alpha=1.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scores=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=2, max_size=5),
+        alpha=st.floats(0.0, 1.0),
+        alpha_single=st.floats(0.0, 1.0),
+    )
+    def test_any_scores_give_a_simplex(self, scores, alpha, alpha_single):
+        # each min-max normalized sum has an entry of exactly 1, so the blend sums to >= 1
+        suite = [BenchmarkSpec("bin", 1, "in"), BenchmarkSpec("bout", 1, "out")]
+        records = [make_record(str(i), [i], len(scores), s_in, s_out)
+                   for i, (s_in, s_out) in enumerate(scores, start=1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MixLabWarning)
+            w = alpha_weights(records, AlphaConfig(alpha=alpha, alpha_single=alpha_single), suite=suite)
+        assert all(v >= 0 for v in w.weights)
+        assert sum(w.weights) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestColinearityWeights:

@@ -133,6 +133,15 @@ class TestNormalizeToSimplex:
     def test_negative(self):
         with pytest.raises(NegativeEntry):
             normalize_to_simplex([1.0, -1.0])
+        with pytest.raises(NegativeEntry):
+            normalize_to_simplex([-math.inf, 1.0])
+
+    def test_non_finite(self):
+        for raw in ([math.nan, 1.0], [math.inf, 1.0], [1.0, math.nan, math.inf]):
+            with pytest.raises(NotNormalized):
+                normalize_to_simplex(raw)
+        with pytest.warns(RuntimeWarning), pytest.raises(NotNormalized):
+            normalize_to_simplex([1e308, 1e308])  # finite entries, overflowing sum
 
 
 class TestMixtureFile:

@@ -233,21 +233,51 @@ class TestRefine:
         assert statistics.median(after) >= statistics.median(before)
 
 
-class TestParallelism:
-    def test_jobs_two_matches_serial(self):
-        config = small_config()
-        serial = run_seed_phase(config, jobs=1)
-        parallel = run_seed_phase(config, jobs=2)
-        assert [serialize_record(r) for r in serial] == [serialize_record(r) for r in parallel]
+def report_lines(report):
+    records = report.fitting_records + report.verification_records
+    return json.dumps(report.to_dict()), [serialize_record(r) for r in records]
+
+
+class TestRefineRounds:
+    def test_run_full_rounds_match_chained_refines(self, report):
+        one_shot = report_lines(run_full(small_config(), refine_rounds=2))
+        assert one_shot == report_lines(refine(report, 2))
+        assert one_shot == report_lines(refine(refine(report, 1), 1))
+
+    def test_one_round_trains_three_phases(self, monkeypatch):
+        import mixlab.pipeline as pipeline
+
+        phases = []
+        original = pipeline._run_all
+
+        def recording(world, plan):
+            phases.append(sorted({run.record_id.split(":")[0] for run in plan.runs}))
+            return original(world, plan)
+
+        monkeypatch.setattr(pipeline, "_run_all", recording)
+        report = run_full(small_config(), refine_rounds=1)
+        assert phases == [["seed"], ["refine"], ["verify"]]
+        assert report.refine_rounds == 1
+
+    def test_negative_rounds_rejected(self, report, monkeypatch):
+        import mixlab.pipeline as pipeline
+
+        def fail(*args, **kwargs):
+            raise AssertionError("training started with a negative round count")
+
+        monkeypatch.setattr(pipeline, "_run_all", fail)
+        with pytest.raises(ValueError, match="refine_rounds"):
+            run_full(small_config(), refine_rounds=-1)
+        with pytest.raises(ValueError, match="rounds"):
+            refine(report, -1)
 
 
 class TestPlanPhase:
     def test_seed_phase_seeds_and_ids(self):
         config = small_config()
-        world = make_world(small_spec(), 3)
         mixtures = [("", mix) for mix in plan_seed_mixtures(config.seed_plan, 3)]
-        plan = plan_phase(config, world, "seed", mixtures)
-        assert plan.world is world and plan.train is config.train
+        plan = plan_phase(config, "seed", mixtures)
+        assert plan.train is config.train
         assert [run.seed for run in plan.runs] == list(range(7, 7 + 14))
         assert [run.record_id for run in plan.runs[:3]] == ["seed:1:r0", "seed:1:r1", "seed:2:r0"]
         assert plan.runs[-1].record_id == "seed:123:r1"
@@ -255,7 +285,7 @@ class TestPlanPhase:
     def test_verify_phase_shares_seeds_across_mixtures(self):
         config = small_config()
         mixtures = [("0", MixtureWeights((0.2, 0.3, 0.5))), ("uniform", seed_all(3))]
-        runs = plan_phase(config, make_world(small_spec(), 3), "verify", mixtures).runs
+        runs = plan_phase(config, "verify", mixtures).runs
         assert [run.seed for run in runs] == [10_007, 10_008] * 2
         assert [run.record_id for run in runs] == [
             "verify:0:123-s10007", "verify:0:123-s10008",
@@ -265,14 +295,14 @@ class TestPlanPhase:
     def test_refine_phase_one_run_per_mixture(self):
         config = small_config()
         mixtures = [("", MixtureWeights((1.0, 0.0, 0.0))), ("", MixtureWeights((0.0, 0.5, 0.5)))]
-        runs = plan_phase(config, make_world(small_spec(), 3), "refine", mixtures, round_index=2).runs
+        runs = plan_phase(config, "refine", mixtures, round_index=2).runs
         assert [(run.seed, run.record_id) for run in runs] == [
             (22_007, "refine:2:1-s22007"), (22_008, "refine:2:23-s22008"),
         ]
 
     def test_unknown_phase(self):
         with pytest.raises(ValueError):
-            plan_phase(small_config(), make_world(small_spec(), 3), "pilot", [("", seed_all(3))])
+            plan_phase(small_config(), "pilot", [("", seed_all(3))])
 
 
 class TestRecordsPath:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -67,13 +68,15 @@ class TestExtractAnswer:
         payloads = [f"[{{'Position': [0, 0, {huge}, 1], 'Confidence': 1}}]",
                     f"[{{'Position': [0, 0, 1, 1], 'Confidence': -{huge}}}]",
                     f"[{{'Confidence': {huge}, 'Position': [0, 0, 1, 1]}}]",
-                    f"[{{'Position': [0, 0, 1, 1], 'Confidence': {'9' * 5000}}}]"]
+                    f"[{{'Position': [0, 0, 1, 1], 'Confidence': {'9' * 5000}}}]",
+                    f"[{{'Position': [0, 0, {huge}.5, 1], 'Confidence': 1}}]",
+                    f"[{{'Position': [0, 0, {huge}e9, 1], 'Confidence': 1}}]"]
         texts = [f"<think>x</think><answer>{payload}</answer>" for payload in payloads]
         for text in texts:
             assert extract_answer(text, mode="box") == (0, None)
         pairs = [(text, [0, 0, 1, 1]) for text in texts] + [(GROUNDED, [422, 781, 464, 926])]
         lines = [json.dumps({"prediction": p, "gold": g, "mode": "box"}) for p, g in pairs]
-        assert [r.total for r in score_pairs(lines)] == [0.0, 0.0, 0.0, 0.0, 3.0]
+        assert [r.total for r in score_pairs(lines)] == [0.0] * len(texts) + [3.0]
 
     def test_unhashable_literal_is_format_failure(self):
         for payload in ("{[1]: 2}", "[{[]}]"):
@@ -265,6 +268,9 @@ class TestIou:
     def test_invalid_box(self):
         with pytest.raises(InvalidBox):
             BoundingBox(2, 0, 1, 5)
+        for corners in ([math.nan, 0, 1, 1], [0, 0, math.inf, 1], [0, -math.inf, 1, 1], [0, 0, 1, math.nan]):
+            with pytest.raises(InvalidBox):
+                BoundingBox(*corners)
 
     def test_pixel_count_oracle(self):
         rng = np.random.default_rng(1)
@@ -349,3 +355,31 @@ class TestScoringFiles:
             score_pairs(['{"prediction": "x"}'])
         with pytest.raises(MalformedLine):
             score_pairs(["not json"])
+
+    @pytest.mark.parametrize("prediction, gold, mode", [
+        (GROUNDED, [1, 2, 3], "box"),
+        (GROUNDED, [3, 3, 1, 1], "box"),
+        (GROUNDED, [1, 1, 2, 2, 3], "box"),
+        (GROUNDED, [True, 1, 2, 2], "box"),
+        (GROUNDED, ["1", 1, 2, 2], "box"),
+        (GROUNDED, {"x1": 1}, "box"),
+        (GROUNDED, "1,1,2,2", "box"),
+        (GROUNDED, [1, 1, 10**400, 2], "box"),
+        (GROUNDED, [1, 1, float("inf"), 2], "box"),
+        (GROUNDED, [float("nan"), 1, 2, 2], "box"),
+        (7, [422, 781, 464, 926], "box"),
+        (7, "B", "text"),
+        (None, "B", "text"),
+        (REASONED, 5, "text"),
+        (REASONED, ["B"], "text"),
+    ])
+    def test_bad_types_name_the_line(self, prediction, gold, mode):
+        good = json.dumps({"prediction": REASONED, "gold": "B", "mode": "text"})
+        bad = json.dumps({"prediction": prediction, "gold": gold, "mode": mode})
+        with pytest.raises(MalformedLine) as excinfo:
+            score_pairs([good, "", bad])
+        assert excinfo.value.line_number == 3
+
+    def test_float_box_gold_accepted(self):
+        line = json.dumps({"prediction": GROUNDED, "gold": [422.0, 781, 464.5, 926], "mode": "box"})
+        assert score_pairs([line])[0].iou == pytest.approx(score_pair(GROUNDED, [422.0, 781, 464.5, 926], "box").iou)

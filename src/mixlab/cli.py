@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -49,15 +50,32 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolved_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
+    if value is None:
+        env = os.environ.get(ENV_SEED, "0")
         try:
-            return int(env)
+            value = int(env)
         except ValueError as exc:
             raise UsageError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
-    return 0
+    if value < 0:
+        raise UsageError(f"the seed must be >= 0, got {value}")
+    return value
+
+
+def _from_options(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError or TypeError a usage error.
+
+    Wrap only the step that turns options or a config file into objects: a
+    ValueError from the work itself (numpy's LinAlgError) is a data error.
+    """
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _fit_config(args, seed: int) -> FitConfig:
+    return _from_options(FitConfig, degree=args.degree, n_splits=args.splits,
+                         test_fraction=args.test_fraction, seed=seed, target=args.target)
 
 
 def _load_suite(path: str | None):
@@ -85,29 +103,20 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="ridge_lambda", type=float, default=1e-3)
     p.add_argument("--m", type=int, default=None, help="dataset count (default: inferred)")
 
-    p = sub.add_parser("fit",
-                       help="cross-validated response-surface fit on weighted records")
-    p.add_argument("--records", required=True)
-    p.add_argument("--suite", default=None)
-    p.add_argument("--degree", type=int, default=2, choices=[1, 2])
-    p.add_argument("--splits", type=int, default=5)
-    p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--target", default="out")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="also save the model JSON here")
-
-    p = sub.add_parser("propose",
-                       help="fit a surrogate and emit top-k candidate mixtures")
-    p.add_argument("--records", required=True)
-    p.add_argument("--suite", default=None)
-    p.add_argument("--degree", type=int, default=2, choices=[1, 2])
-    p.add_argument("--splits", type=int, default=5)
-    p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--target", default="out")
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--jitter", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=None)
+    fit = sub.add_parser("fit", help="cross-validated response-surface fit on weighted records")
+    fit.add_argument("--out", default=None, help="also save the model JSON here")
+    proposer = sub.add_parser("propose", help="fit a surrogate and emit top-k candidate mixtures")
+    proposer.add_argument("--n", type=int, default=10000)
+    proposer.add_argument("--k", type=int, default=10)
+    proposer.add_argument("--jitter", type=float, default=1e-4)
+    for p in (fit, proposer):  # the surrogate-fit options both share
+        p.add_argument("--records", required=True)
+        p.add_argument("--suite", default=None)
+        p.add_argument("--degree", type=int, default=2, choices=[1, 2])
+        p.add_argument("--splits", type=int, default=5)
+        p.add_argument("--test-fraction", type=float, default=0.2)
+        p.add_argument("--target", default="out")
+        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("sample",
                        help="print the (domain,item) training stream for a mixture")
@@ -186,10 +195,10 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_heuristic(args) -> int:
+    cfg = _from_options(AlphaConfig, alpha=args.alpha, alpha_single=args.alpha_single)
     suite = _load_suite(args.suite)
     records = read_records(args.records, suite=suite)
     if args.method == "alpha":
-        cfg = AlphaConfig(alpha=args.alpha, alpha_single=args.alpha_single)
         weights = alpha_weights(records, cfg, m=args.m, suite=suite)
     elif args.method == "coli":
         weights = colinearity_weights(records, lam=args.ridge_lambda, m=args.m, suite=suite)
@@ -202,17 +211,10 @@ def _cmd_heuristic(args) -> int:
 def _cmd_fit(args) -> int:
     seed = _resolved_seed(args.seed)
     _note_seed(seed)
+    fit_config = _fit_config(args, seed)
     suite = _load_suite(args.suite)
     records = read_records(args.records, suite=suite)
-    model, report = cross_validated_fit(
-        records,
-        degree=args.degree,
-        n_splits=args.splits,
-        test_fraction=args.test_fraction,
-        seed=seed,
-        target=args.target,
-        suite=suite,
-    )
+    model, report = cross_validated_fit(records, suite=suite, **asdict(fit_config))
     print(json.dumps({"model": model.to_dict(), "report": report.to_dict()}))
     if args.out:
         model.save(args.out)
@@ -222,16 +224,10 @@ def _cmd_fit(args) -> int:
 def _cmd_propose(args) -> int:
     seed = _resolved_seed(args.seed)
     _note_seed(seed)
+    fit_config = _fit_config(args, seed)
+    proposal_config = _from_options(ProposalConfig, n_samples=args.n, k=args.k, jitter=args.jitter, seed=seed)
     suite = _load_suite(args.suite)
     records = read_records(args.records, suite=suite)
-    fit_config = FitConfig(
-        degree=args.degree,
-        n_splits=args.splits,
-        test_fraction=args.test_fraction,
-        seed=seed,
-        target=args.target,
-    )
-    proposal_config = ProposalConfig(n_samples=args.n, k=args.k, jitter=args.jitter, seed=seed)
     result = propose(records, fit_config, proposal_config, suite=suite)
     for mixture, score in result.candidates:
         print(f"{format_mixture(mixture)}\t{score:.10g}")
@@ -262,16 +258,17 @@ def _cmd_sample(args) -> int:
 def _cmd_simulate(args) -> int:
     seed = _resolved_seed(args.seed)
     _note_seed(seed)
-    spec = world_spec_from_dict(json.loads(Path(args.world).read_text()))
-    world = make_world(spec, args.world_seed)
-    weights = read_mixture_file(args.weights)
-    config = GrpoConfig(
+    config = _from_options(
+        GrpoConfig,
         group_size=args.group_size,
         clip_epsilon=args.clip_epsilon,
         kl_coeff=args.kl_coeff,
         peak_learning_rate=args.peak_lr,
         steps=args.steps,
     )
+    spec = world_spec_from_dict(json.loads(Path(args.world).read_text()))
+    world = make_world(spec, args.world_seed)
+    weights = read_mixture_file(args.weights)
     record = train_with_mixture(world, weights, config, seed, record_id=args.id)
     line = serialize_record(record)
     with open(args.out, "a") as fh:
@@ -283,7 +280,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_pipeline(args) -> int:
     if args.refine_rounds < 0:
         raise UsageError(f"--refine-rounds must be >= 0, got {args.refine_rounds}")
-    config = pipeline_config_from_dict(json.loads(Path(args.config).read_text()))
+    config = _from_options(pipeline_config_from_dict, json.loads(Path(args.config).read_text()))
     _note_seed(config.base_seed)
     report = run_full(config, refine_rounds=args.refine_rounds)
     write_report(report, args.out_dir)

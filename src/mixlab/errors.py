@@ -113,6 +113,10 @@ class InvalidBox(MixLabError):
     """Bounding-box coordinates violate x1 <= x2, y1 <= y2."""
 
 
+class InvalidPair(MixLabError):
+    """A (prediction, gold) pair has the wrong types for its scoring mode."""
+
+
 # --- sampling ---------------------------------------------------------------
 
 class Exhausted(MixLabError):

@@ -16,11 +16,12 @@ phase in lockstep as one array program over ``theta`` of shape ``(R, k, A)``.
 A run's randomness never depends on its policy: the data stream is fixed by
 (mixture, seed, pools) and the action sampler consumes ``group_size``
 uniforms per step, so both are drawn in bulk before the first step and each
-step is a handful of array operations across all live runs.  Every array
-operation rounds exactly as the one-group reference path
-(:func:`build_group`, :func:`objective_row_gradient`, :func:`grpo_step`)
-does, so the batched trainer reproduces a per-run ``grpo_step`` loop bit for
-bit; the tests compare the two.
+step is a handful of array operations across all live runs (the two streams
+are :func:`run_streams`).  Every array operation rounds exactly as the
+one-group reference path (:func:`build_group`,
+:func:`objective_row_gradient`, :func:`grpo_step`) does, so the batched
+trainer reproduces a per-run ``grpo_step`` loop bit for bit; the tests
+compare the two.
 """
 
 from __future__ import annotations
@@ -39,11 +40,6 @@ from .sampler import draw_stream
 from .sampler import init as sampler_init
 from .sampler import next_sample  # noqa: F401  (unused; perfbench/tracing.py patches this binding)
 from .world import SyntheticWorld, benchmark_scores
-
-# Offset separating the trainer's action-sampling stream from the data
-# sampler's stream for the same run seed.
-ACTION_STREAM_OFFSET = 1
-
 
 @dataclass(frozen=True)
 class GrpoConfig:
@@ -280,11 +276,21 @@ def grpo_step(
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One planned training run: the mixture it samples, its seed, its record id."""
+    """One planned training run: its mixture, its SeedSequence (int s: SeedSequence(s)), its record id."""
 
     mixture: MixtureWeights
-    seed: int
+    seed: int | np.random.SeedSequence
     record_id: str | None = None
+
+
+def run_streams(seed: int | np.random.SeedSequence) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
+    """A run's data and action streams: the two spawn children of its SeedSequence.
+
+    They are built from its key, not by ``spawn``, which advances a counter on
+    the sequence: runs sharing one sequence (paired verification) need equal children.
+    """
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return tuple(np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (i,)) for i in range(2))
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -336,8 +342,8 @@ def train_policies(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train every run together: final logits ``(R, k, A)`` and steps taken ``(R,)``.
 
-    Deterministic per (world, run, config): run r's data sampler seeds with
-    ``runs[r].seed`` and its action sampling with ``seed + ACTION_STREAM_OFFSET``.
+    Deterministic per (world, run, config): run r's data sampler and its
+    action sampling draw from the two streams of :func:`run_streams`.
     A run ends at the step budget or the first time a drawn domain's pool is
     exhausted; at step t only the runs still going are updated, each in the
     one logit row of its task's skill.
@@ -351,11 +357,12 @@ def train_policies(
     golds = np.zeros_like(skills)
     uniforms = np.zeros((len(runs), steps, group_size))
     for r, run in enumerate(runs):
-        state = sampler_init(world.catalog(), run.mixture, seed=run.seed)
+        data_stream, action_stream = run_streams(run.seed)
+        state = sampler_init(world.catalog(), run.mixture, seed=data_stream)
         domains, items = draw_stream(state, steps)
         n = lengths[r] = len(domains)
         skills[r, :n], golds[r, :n] = world.tasks(domains, items)
-        np.random.default_rng(run.seed + ACTION_STREAM_OFFSET).random(out=uniforms[r, :n])
+        np.random.default_rng(action_stream).random(out=uniforms[r, :n])
 
     theta = np.zeros((len(runs), world.k, world.A))
     ref = softmax(np.zeros(world.A))

@@ -13,10 +13,10 @@ Three strategies are provided:
   drops when they are excluded, via an affine transform of the min-max
   normalized exclude-one scores.
 
-By default every predictor consumes the seed records of its input (records
-that carry an explicit weight vector); rows without weights, such as the
-untrained baseline, are ignored.  Callers may pre-filter to reproduce
-variants that drop specific datasets.
+Every predictor consumes the seed records of its input (records that carry
+an explicit weight vector); rows without weights, such as the untrained
+baseline, are ignored.  Callers may pre-filter to reproduce variants that
+drop specific datasets.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from .surrogate import ridge_fit
 DEFAULT_RIDGE_LAMBDA = 1e-3
 
 # Affine transform constants mapping normalized exclude-one scores to raw
-# weights in [0.1, 0.2]; kept literal (they are not rescaled with m) but
-# overridable.
+# weights in [0.1, 0.2]; kept literal (they are not rescaled with m).
 LOO_OFFSET = 0.2
 LOO_SLOPE = 0.1
 
@@ -68,12 +67,6 @@ class ScoreSums:
 
     s_in: np.ndarray
     s_out: np.ndarray
-
-
-def _seed_subset(records: Sequence[PerformanceRecord], seed_only: bool) -> list[PerformanceRecord]:
-    if not seed_only:
-        return list(records)
-    return [r for r in records if r.weights is not None]
 
 
 def _infer_m(records: Sequence[PerformanceRecord], m: int | None) -> int:
@@ -130,14 +123,13 @@ def alpha_weights(
     cfg: AlphaConfig = AlphaConfig(),
     m: int | None = None,
     suite: Sequence[BenchmarkSpec] | None = None,
-    seed_only: bool = True,
 ) -> MixtureWeights:
     """Blend min-max normalized In/Out score sums into mixture weights.
 
     ``alpha = 1`` optimizes for in-distribution scores only, ``alpha = 0``
     for out-of-distribution only, ``alpha = 0.5`` balances the two.
     """
-    records = _seed_subset(records, seed_only)
+    records = [r for r in records if r.weights is not None]
     if not records:
         raise EmptyRecords("no records to accumulate")
     if suite is None:
@@ -163,7 +155,6 @@ def colinearity_weights(
     lam: float = DEFAULT_RIDGE_LAMBDA,
     m: int | None = None,
     suite: Sequence[BenchmarkSpec] | None = None,
-    seed_only: bool = True,
 ) -> MixtureWeights:
     """Ridge-regress Out-Score on participation indicators, deflate by VIF.
 
@@ -171,7 +162,7 @@ def colinearity_weights(
     recipe used.  Coefficients are divided by the diagonal of
     ``(X'X + lam*I)^-1``, clamped at zero, and normalized to the simplex.
     """
-    records = _seed_subset(records, seed_only)
+    records = [r for r in records if r.weights is not None]
     if not records:
         raise EmptyRecords("no records to regress on")
     if suite is None:
@@ -201,17 +192,15 @@ def leave_one_out_weights(
     records: Sequence[PerformanceRecord],
     m: int | None = None,
     suite: Sequence[BenchmarkSpec] | None = None,
-    seed_only: bool = True,
-    offset: float = LOO_OFFSET,
-    slope: float = LOO_SLOPE,
 ) -> MixtureWeights:
     """Weight each dataset by the exclude-one run that left it out.
 
     Higher Out-Score without a dataset means the dataset matters less, so the
-    transform ``offset - slope * normalized_score`` is monotone decreasing;
-    raw weights land in [offset - slope, offset] before normalization.
+    transform ``LOO_OFFSET - LOO_SLOPE * normalized_score`` is monotone
+    decreasing; raw weights land in [LOO_OFFSET - LOO_SLOPE, LOO_OFFSET]
+    before normalization.
     """
-    records = _seed_subset(records, seed_only)
+    records = [r for r in records if r.weights is not None]
     if suite is None:
         suite = bundled_suite()
     m = _infer_m(records, m)
@@ -239,5 +228,5 @@ def leave_one_out_weights(
     normalized = _min_max(out_scores, "exclude-one out scores")
     if normalized is None:
         return MixtureWeights(tuple([1.0 / m] * m))
-    raw = offset - slope * normalized
+    raw = LOO_OFFSET - LOO_SLOPE * normalized
     return normalize_to_simplex(raw)

@@ -4,24 +4,24 @@ The flow is: train one pilot per planned seed mixture, fit the cross-validated
 surrogate on the pilot records, and sample and rank candidate mixtures.  Each
 optional refinement round trains the current proposals, adds their records to
 the fitting set, and refits and re-proposes.  After the last round, the final
-proposals and the uniform baseline are verified once, with fresh seeds the
+proposals and the uniform baseline are verified once, with fresh streams the
 fitting never saw.  :func:`run_full` with ``refine_rounds=n`` does all of it
 in one call; :func:`refine` continues an existing report the same way.
 
 Every training phase (seed, refine, verify) is planned by :func:`plan_phase`
 as a list of :class:`~mixlab.grpo.RunSpec` and trained in one process as one
-lockstep batch by :func:`~mixlab.grpo.train_runs`.
-Seed bookkeeping is all fixed arithmetic on the config's ``base_seed`` so
-every stage is reproducible and the fitting and verification run sets stay
-disjoint by construction:
+lockstep batch by :func:`~mixlab.grpo.train_runs`.  Each run's randomness is
+``SeedSequence(base_seed, spawn_key=key)`` with a key that names the phase
+and the run, so every stage is reproducible and no two runs of a pipeline
+share a stream, whatever the plan's size:
 
-* pilot j, rep r    -> base_seed + j * replicates + r
-* verification v    -> base_seed + 10_000 + v   (shared across mixtures, so
-                       candidate-vs-uniform comparisons pair by seed)
-* refinement r, c   -> base_seed + 20_000 + 1_000 * r + c
+* pilot c, rep r      -> key (0, c, r)
+* verification v      -> key (1, v)   (shared across mixtures, so
+                         candidate-vs-uniform comparisons pair by stream)
+* refinement round, c -> key (2, round, c)
 
-Run provenance is also tagged in record ids (``seed:``, ``verify:``,
-``refine:`` prefixes).
+Record ids name the same indices: ``seed:{labels}:r{r}``,
+``verify:{tag}:{labels}-v{v}`` and ``refine:{round}:{labels}-c{c}``.
 """
 
 from __future__ import annotations
@@ -42,17 +42,12 @@ from .search import ProposalConfig, propose
 from .surrogate import FitConfig, FitReport, SurrogateModel, predict
 from .world import SyntheticWorld, WorldSpec, make_world, world_spec_from_dict
 
-VERIFY_SEED_OFFSET = 10_000
-REFINE_SEED_OFFSET = 20_000
-REFINE_ROUND_STRIDE = 1_000
-
-
 @dataclass(frozen=True)
 class SeedPlan:
     singles: bool = True
     exclude_ones: bool = True
     include_all: bool = True
-    replicates: int = 1  # pilot runs per planned mixture (distinct seeds)
+    replicates: int = 1  # pilot runs per planned mixture (distinct streams)
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -74,6 +69,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.verify_seeds < 1:
             raise ValueError("verify_seeds must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         if not (self.seed_plan.singles or self.seed_plan.exclude_ones or self.seed_plan.include_all):
             raise ValueError("the seed plan must include at least one mixture")
 
@@ -100,7 +97,6 @@ class PipelineReport:
     proposals: tuple[ProposalRow, ...]
     uniform: ProposalRow
     verification_records: tuple[PerformanceRecord, ...]
-    verify_seeds_used: tuple[int, ...]
     refine_rounds: int = 0
 
     @property
@@ -131,7 +127,6 @@ class PipelineReport:
             "proposals": [row_dict(r) for r in self.proposals],
             "uniform": row_dict(self.uniform),
             "delta_vs_uniform": self.delta_vs_uniform,
-            "verify_seeds_used": list(self.verify_seeds_used),
             "refine_rounds": self.refine_rounds,
             "n_fitting_records": len(self.fitting_records),
         }
@@ -196,33 +191,30 @@ def plan_phase(
     mixtures: Sequence[tuple[str, MixtureWeights]],
     round_index: int = 0,
 ) -> PhasePlan:
-    """Seeds and record ids of one phase's runs, per the module's seed table.
+    """Streams and record ids of one phase's runs, per the module's key table.
 
     ``phase`` is ``"seed"`` (``replicates`` runs per mixture), ``"verify"``
-    (one run per shared verification seed per mixture) or ``"refine"`` (one
+    (one run per shared verification stream per mixture) or ``"refine"`` (one
     run per mixture in refinement round ``round_index``).  Each mixture comes
     with a tag; only verification record ids carry it.
     """
-    base = config.base_seed
+    def stream(*key: int) -> np.random.SeedSequence:
+        return np.random.SeedSequence(config.base_seed, spawn_key=key)
+
     runs: list[RunSpec] = []
     for c, (tag, mixture) in enumerate(mixtures):
         digits = "".join(str(label) for label in mixture.dataset_labels())
         if phase == "seed":
             reps = config.seed_plan.replicates
-            runs += [RunSpec(mixture, base + c * reps + r, f"seed:{digits}:r{r}") for r in range(reps)]
+            runs += [RunSpec(mixture, stream(0, c, r), f"seed:{digits}:r{r}") for r in range(reps)]
         elif phase == "verify":
-            runs += [RunSpec(mixture, seed, f"verify:{tag}:{digits}-s{seed}") for seed in verify_seeds(config)]
+            runs += [RunSpec(mixture, stream(1, v), f"verify:{tag}:{digits}-v{v}")
+                     for v in range(config.verify_seeds)]
         elif phase == "refine":
-            seed = base + REFINE_SEED_OFFSET + REFINE_ROUND_STRIDE * round_index + c
-            runs.append(RunSpec(mixture, seed, f"refine:{round_index}:{digits}-s{seed}"))
+            runs.append(RunSpec(mixture, stream(2, round_index, c), f"refine:{round_index}:{digits}-c{c}"))
         else:
             raise ValueError(f"unknown phase {phase!r}")
     return PhasePlan(config.train, runs)
-
-
-def verify_seeds(config: PipelineConfig) -> list[int]:
-    """Verification seeds; every verified mixture uses all of them, so runs pair by seed."""
-    return [config.base_seed + VERIFY_SEED_OFFSET + v for v in range(config.verify_seeds)]
 
 
 def _run_all(world: SyntheticWorld, plan: PhasePlan) -> list[PerformanceRecord]:
@@ -284,7 +276,7 @@ def _refine_and_verify(
     """Propose; run refinement rounds ``done .. done + rounds - 1``; verify the last proposals.
 
     Only the final proposals (and the uniform baseline) are verified: the
-    seeds, ids and proposals of a refinement round never depend on a
+    streams, ids and proposals of a refinement round never depend on a
     verification, so intermediate ones would be trained and thrown away.
     """
     suite = world.suite()
@@ -317,7 +309,6 @@ def _refine_and_verify(
         proposals=proposals,
         uniform=uniform_row,
         verification_records=tuple(verification_records),
-        verify_seeds_used=tuple(verify_seeds(config)),
         refine_rounds=done + rounds,
     )
 
@@ -343,21 +334,16 @@ def pipeline_config_from_dict(obj: dict) -> PipelineConfig:
     """Build a PipelineConfig from the CLI's JSON config file format."""
     from .rewards import RewardWeights
 
-    world_spec = world_spec_from_dict(obj["world"])
     train_kwargs = dict(obj.get("train", {}))
     if isinstance(train_kwargs.get("reward_weights"), dict):
         train_kwargs["reward_weights"] = RewardWeights(**train_kwargs["reward_weights"])
-    train = GrpoConfig(**train_kwargs)
-    plan = SeedPlan(**obj.get("seed_plan", {}))
-    fit = FitConfig(**obj.get("fit", {}))
-    proposal = ProposalConfig(**obj.get("proposal", {}))
     return PipelineConfig(
-        world_spec=world_spec,
+        world_spec=world_spec_from_dict(obj["world"]),
         world_seed=int(obj.get("world_seed", 0)),
-        train=train,
-        seed_plan=plan,
-        fit=fit,
-        proposal=proposal,
+        train=GrpoConfig(**train_kwargs),
+        seed_plan=SeedPlan(**obj.get("seed_plan", {})),
+        fit=FitConfig(**obj.get("fit", {})),
+        proposal=ProposalConfig(**obj.get("proposal", {})),
         verify_seeds=int(obj.get("verify_seeds", 3)),
         base_seed=int(obj.get("base_seed", 42)),
         records_path=obj.get("records_path"),

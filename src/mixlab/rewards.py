@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InvalidBox, MalformedLine
+from .errors import InvalidBox, InvalidPair, MalformedLine
 
 TAG_PATTERN = re.compile(r"<think>(.*?)</think>\s*<answer>(.*?)</answer>", re.DOTALL)
 
@@ -222,13 +222,20 @@ def combined_reward(
 
 
 def score_pair(prediction: str, gold, mode: str, weights: RewardWeights = DEFAULT_WEIGHTS) -> RewardBreakdown:
-    """Score one (prediction, gold) pair end to end."""
+    """Score one (prediction, gold) pair end to end; InvalidPair unless the types suit ``mode``.
+
+    ``prediction`` is a string; ``gold`` a string (text) or a BoundingBox or [x1, y1, x2, y2] (box).
+    """
+    if mode == "box" and not isinstance(gold, BoundingBox):
+        gold = _box(gold)
+    if not isinstance(prediction, str) or not isinstance(gold, BoundingBox if mode == "box" else str):
+        raise InvalidPair("expected a string prediction and a string gold (text mode) "
+                          "or a gold box [x1, y1, x2, y2] (box mode)")
     flag, payload = extract_answer(prediction, mode=mode)
     if mode == "text":
         acc = accuracy_reward(payload, gold) if flag else 0
         return combined_reward(flag, accuracy=acc, weights=weights)
-    gold_box = gold if isinstance(gold, BoundingBox) else BoundingBox(*(float(v) for v in gold))
-    value = iou(best_box(payload), gold_box) if flag else 0.0
+    value = iou(best_box(payload), gold) if flag else 0.0
     return combined_reward(flag, iou_value=value, weights=weights)
 
 
@@ -244,15 +251,13 @@ def score_pairs(lines: Iterable[str], weights: RewardWeights = DEFAULT_WEIGHTS) 
             raise MalformedLine(line_number, f"invalid JSON: {exc.msg}") from exc
         if not isinstance(obj, dict) or not {"prediction", "gold", "mode"} <= obj.keys():
             raise MalformedLine(line_number, "expected {prediction, gold, mode}")
-        prediction, gold, mode = obj["prediction"], obj["gold"], obj["mode"]
+        mode = obj["mode"]
         if mode not in ("text", "box"):
             raise MalformedLine(line_number, f"unknown mode {mode!r}")
-        if mode == "box":
-            gold = _box(gold)
-        if not isinstance(prediction, str) or not isinstance(gold, (str, BoundingBox)):
-            raise MalformedLine(line_number, "expected a string prediction and a string gold (text mode) "
-                                             "or a gold box [x1, y1, x2, y2] (box mode)")
-        results.append(score_pair(prediction, gold, mode, weights))
+        try:
+            results.append(score_pair(obj["prediction"], obj["gold"], mode, weights))
+        except InvalidPair as exc:
+            raise MalformedLine(line_number, str(exc)) from exc
     return results
 
 

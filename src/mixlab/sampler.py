@@ -43,7 +43,7 @@ class SamplerState:
 def init(
     catalog: DomainCatalog,
     weights: MixtureWeights,
-    seed: int,
+    seed: int | np.random.SeedSequence,
     renormalize: bool = False,
 ) -> SamplerState:
     if weights.m != catalog.m:

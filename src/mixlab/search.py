@@ -14,7 +14,7 @@ standard-normal block from numpy's seeded PCG64 generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -122,15 +122,7 @@ def propose(
     baseline row (no mixture) is excluded from both the surrogate fit and the
     Gaussian fit.
     """
-    model, report = cross_validated_fit(
-        records,
-        degree=fit_config.degree,
-        n_splits=fit_config.n_splits,
-        test_fraction=fit_config.test_fraction,
-        seed=fit_config.seed,
-        target=fit_config.target,
-        suite=suite,
-    )
+    model, report = cross_validated_fit(records, suite=suite, **asdict(fit_config))
     observed = [r.weights for r in records if r.weights is not None]
     gaussian = fit_gaussian(observed, jitter=proposal_config.jitter)
     if proposal_config.k == 0:

@@ -190,6 +190,14 @@ class FitConfig:
     seed: int = 0
     target: str = "out"  # "in", "out", or a benchmark name
 
+    def __post_init__(self):
+        if self.degree not in (1, 2):
+            raise ValueError(f"degree must be 1 or 2, got {self.degree}")
+        if self.n_splits < 1:
+            raise ValueError("n_splits must be >= 1")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError("test_fraction must lie in (0, 1)")
+
 
 @dataclass(frozen=True)
 class FitReport:
@@ -259,8 +267,7 @@ def cross_validated_fit(
     Splits whose drawn rows have constant scores carry R^2 = NaN and are
     skipped when choosing the winner.
     """
-    if n_splits < 1:
-        raise ValueError("n_splits must be >= 1")
+    FitConfig(degree, n_splits, test_fraction, seed, target)  # raises ValueError on bad settings
     mixtures, y = fitting_rows(records, target=target, suite=suite)
     n = len(mixtures)
     if n < 5:
@@ -269,8 +276,8 @@ def cross_validated_fit(
     m = mixtures[0].m
     X = design_matrix(mixtures, degree)
     n_train = math.ceil((1.0 - test_fraction) * n)
-    if not 1 <= n_train < n:
-        raise ValueError(f"test fraction {test_fraction} leaves no train or no test rows")
+    if n_train == n:
+        raise InsufficientRecords(f"test fraction {test_fraction} leaves no test rows among {n} records")
 
     rng = np.random.default_rng(seed)
     models: list[SurrogateModel] = []

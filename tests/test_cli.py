@@ -254,6 +254,31 @@ class TestPipelineCommand:
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv, config_changes, message", [
+    (["fit", "--records", "{records}", "--test-fraction", "1.5"], {}, "test_fraction"),
+    (["fit", "--records", "{records}", "--splits", "0"], {}, "n_splits"),
+    (["fit", "--records", "{records}", "--seed", "-1"], {}, "seed"),
+    (["propose", "--records", "{records}", "--k", "-1"], {}, "k must"),
+    (["heuristic", "--method", "alpha", "--records", "{records}", "--alpha", "2"], {}, "alpha"),
+    (["simulate", "--world", "{world}", "--weights", "{mixture}", "--group-size", "1", "--out", "{out}"],
+     {}, "group_size"),
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"verify_seeds": 0}, "verify_seeds"),
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"train": {"stepz": 30}}, "stepz"),
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"base_seed": -3}, "base_seed"),
+])
+def test_bad_option_is_usage_error(capsys, tmp_path, fixture_file, world_file, mixture_file,
+                                   pipeline_config_file, argv, config_changes, message):
+    config = json.loads(pipeline_config_file.read_text())
+    pipeline_config_file.write_text(json.dumps({**config, **config_changes}))
+    out = tmp_path / "out"
+    paths = {"records": fixture_file, "world": world_file, "mixture": mixture_file,
+             "config": pipeline_config_file, "out": out}
+    code, stdout, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert "usage error:" in err and message in err
+    assert stdout == "" and not out.exists()
+
+
 def test_console_script_installed():
     result = subprocess.run([sys.executable, "-m", "mixlab.cli"],
                             capture_output=True, text=True)

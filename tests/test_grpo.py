@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from mixlab.errors import DimensionMismatch, GroupTooSmall, SupportMismatch
 from mixlab import grpo
 from mixlab.grpo import (
-    ACTION_STREAM_OFFSET,
     GrpoConfig,
     PolicyParams,
     RunSpec,
@@ -21,6 +20,7 @@ from mixlab.grpo import (
     objective_row_gradient,
     sample_actions,
     train_policies,
+    run_streams,
     train_runs,
     train_with_mixture,
 )
@@ -335,8 +335,11 @@ class TestTrainWithMixture:
 
 def reference_run(world, weights, config, seed):
     """One run as a plain per-step grpo_step loop: (final theta, steps taken)."""
-    state = sampler_init(world.catalog(), weights, seed=seed)
-    rng = np.random.default_rng(seed + ACTION_STREAM_OFFSET)
+    key = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    # spawn from a fresh copy: spawning advances the sequence it is called on
+    data_stream, action_stream = np.random.SeedSequence(key.entropy, spawn_key=key.spawn_key).spawn(2)
+    state = sampler_init(world.catalog(), weights, seed=data_stream)
+    rng = np.random.default_rng(action_stream)
     policy = ref = PolicyParams.zeros(world.k, world.A)
     steps = 0
     while steps < config.steps:
@@ -419,6 +422,25 @@ class TestTrainRuns:
         runs = [RunSpec(mix, 50 + i, f"run{i}") for i, mix in enumerate(mixtures)]
         assert_lockstep_matches_reference(world, config, runs)
 
+    def test_shared_spawn_key_bit_equal(self):
+        # verification runs share one key across mixtures, as the pipeline plans them
+        world = tiny_world(pool=60)
+        config = GrpoConfig(group_size=6, steps=40)
+        key = np.random.SeedSequence(5, spawn_key=(1, 0))
+        runs = [RunSpec(mix, key, f"run{i}") for i, mix in enumerate(RUN_MIXTURES)]
+        assert_lockstep_matches_reference(world, config, runs)
+        assert key.n_children_spawned == 0
+
+    def test_shared_key_gives_equal_streams_and_records(self):
+        world = tiny_world(pool=60)
+        config = GrpoConfig(steps=40)
+        key = np.random.SeedSequence(5, spawn_key=(1, 3))
+        mixture = MixtureWeights((0.3, 0.7))
+        runs = [RunSpec(mixture, key, "a"), RunSpec(mixture, key, "b")]
+        first, second = train_runs(world, runs, config)
+        again, = train_runs(world, runs[:1], config)
+        assert (first.scores, first.step) == (second.scores, second.step) == (again.scores, again.step)
+
     def test_default_record_id(self):
         world = tiny_world()
         record, = train_runs(world, [RunSpec(MixtureWeights((0.5, 0.5)), 3)], GrpoConfig(steps=5))
@@ -433,6 +455,38 @@ class TestTrainRuns:
         runs = [RunSpec(MixtureWeights((0.5, 0.5)), 0), RunSpec(MixtureWeights((0.2, 0.3, 0.5)), 1)]
         with pytest.raises(DimensionMismatch):
             train_runs(world, runs, GrpoConfig(steps=5))
+
+
+class TestRunStreams:
+    @staticmethod
+    def draws(stream):
+        return np.random.default_rng(stream).random(8)
+
+    def test_int_seed_children_match_spawn(self):
+        for seed in (0, 7, 2**40):
+            expected = np.random.SeedSequence(seed).spawn(2)
+            for got, want in zip(run_streams(seed), expected):
+                assert np.array_equal(self.draws(got), self.draws(want))
+
+    def test_action_stream_is_not_next_runs_data_stream(self):
+        for seed in range(20):
+            _, action = run_streams(seed)
+            data_next, _ = run_streams(seed + 1)
+            assert not np.array_equal(self.draws(action), self.draws(data_next))
+
+    def test_data_and_action_streams_differ(self):
+        data, action = run_streams(3)
+        assert not np.array_equal(self.draws(data), self.draws(action))
+
+    def test_children_extend_the_key_without_spawning(self):
+        key = np.random.SeedSequence(9, spawn_key=(2, 1, 4))
+        first = run_streams(key)
+        second = run_streams(key)
+        assert [s.spawn_key for s in first] == [(2, 1, 4, 0), (2, 1, 4, 1)]
+        assert all(s.entropy == 9 for s in first)
+        assert key.n_children_spawned == 0
+        for a, b in zip(first, second):
+            assert np.array_equal(self.draws(a), self.draws(b))
 
 
 def test_config_validation():

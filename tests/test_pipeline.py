@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mixlab.errors import DimensionMismatch
-from mixlab.grpo import GrpoConfig
+from mixlab.grpo import GrpoConfig, run_streams
 from mixlab.mixtures import MixtureWeights, seed_all
 from mixlab.pipeline import (
     PipelineConfig,
@@ -124,9 +124,13 @@ class TestRunFull:
         assert not fit_ids & verify_ids
         assert all(i.startswith("seed:") for i in fit_ids)
         assert all(i.startswith("verify:") for i in verify_ids)
-        fit_steps_seeds = {7 + j for j in range(len(fit_ids))}
-        assert all(seed >= 10_000 for seed in report.verify_seeds_used)
-        assert not fit_steps_seeds & set(report.verify_seeds_used)
+        config = report.config
+        pilots = plan_phase(config, "seed", [("", mix) for mix in plan_seed_mixtures(config.seed_plan, 3)]).runs
+        verify = plan_phase(config, "verify", [("uniform", report.uniform.weights)]).runs
+        assert [run.record_id for run in pilots] == [r.id for r in report.fitting_records]
+        assert {run.record_id for run in verify} == {"verify:uniform:123-v0", "verify:uniform:123-v1"}
+        assert {run.record_id for run in verify} <= verify_ids
+        assert not stream_states(pilots) & stream_states(verify)
 
     def test_report_serializes(self, report, tmp_path):
         paths = write_report(report, tmp_path / "out")
@@ -272,13 +276,19 @@ class TestRefineRounds:
             refine(report, -1)
 
 
+def stream_states(runs):
+    """The distinct data and action streams of ``runs``, each as its first generated words."""
+    return {tuple(stream.generate_state(4)) for run in runs for stream in run_streams(run.seed)}
+
+
 class TestPlanPhase:
     def test_seed_phase_seeds_and_ids(self):
         config = small_config()
         mixtures = [("", mix) for mix in plan_seed_mixtures(config.seed_plan, 3)]
         plan = plan_phase(config, "seed", mixtures)
         assert plan.train is config.train
-        assert [run.seed for run in plan.runs] == list(range(7, 7 + 14))
+        assert [run.seed.spawn_key for run in plan.runs] == [(0, c, r) for c in range(7) for r in range(2)]
+        assert all(run.seed.entropy == 7 for run in plan.runs)
         assert [run.record_id for run in plan.runs[:3]] == ["seed:1:r0", "seed:1:r1", "seed:2:r0"]
         assert plan.runs[-1].record_id == "seed:123:r1"
 
@@ -286,19 +296,52 @@ class TestPlanPhase:
         config = small_config()
         mixtures = [("0", MixtureWeights((0.2, 0.3, 0.5))), ("uniform", seed_all(3))]
         runs = plan_phase(config, "verify", mixtures).runs
-        assert [run.seed for run in runs] == [10_007, 10_008] * 2
+        assert [run.seed.spawn_key for run in runs] == [(1, 0), (1, 1)] * 2
+        assert all(run.seed.entropy == 7 for run in runs)
         assert [run.record_id for run in runs] == [
-            "verify:0:123-s10007", "verify:0:123-s10008",
-            "verify:uniform:123-s10007", "verify:uniform:123-s10008",
+            "verify:0:123-v0", "verify:0:123-v1",
+            "verify:uniform:123-v0", "verify:uniform:123-v1",
         ]
 
     def test_refine_phase_one_run_per_mixture(self):
         config = small_config()
         mixtures = [("", MixtureWeights((1.0, 0.0, 0.0))), ("", MixtureWeights((0.0, 0.5, 0.5)))]
         runs = plan_phase(config, "refine", mixtures, round_index=2).runs
-        assert [(run.seed, run.record_id) for run in runs] == [
-            (22_007, "refine:2:1-s22007"), (22_008, "refine:2:23-s22008"),
+        assert [(run.seed.spawn_key, run.record_id) for run in runs] == [
+            ((2, 2, 0), "refine:2:1-c0"), ((2, 2, 1), "refine:2:23-c1"),
         ]
+        assert all(run.seed.entropy == 7 for run in runs)
+
+    def test_verify_streams_pair_across_mixtures(self):
+        config = small_config(verify_seeds=3)
+        mixtures = [("0", MixtureWeights((0.2, 0.3, 0.5))), ("1", MixtureWeights((1.0, 0.0, 0.0))),
+                    ("uniform", seed_all(3))]
+        runs = plan_phase(config, "verify", mixtures).runs
+        by_mixture = [runs[c * 3:(c + 1) * 3] for c in range(3)]
+        for v in range(3):
+            states = {tuple(tuple(s.generate_state(4)) for s in run_streams(rows[v].seed)) for rows in by_mixture}
+            assert len(states) == 1
+        assert len(stream_states(runs)) == 2 * 3
+
+    def test_keys_distinct_past_the_old_offsets(self):
+        # pilots reach 7 * 1500 >= 10_000 runs and refinement rounds 1_001 proposals,
+        # sizes at which fixed seed offsets overlapped the next phase or round
+        config = small_config(seed_plan=SeedPlan(replicates=1500), verify_seeds=4)
+        pilots = plan_phase(config, "seed", [("", mix) for mix in plan_seed_mixtures(config.seed_plan, 3)]).runs
+        verify = plan_phase(config, "verify", [("0", seed_all(3)), ("uniform", seed_all(3))]).runs
+        proposals = [("", seed_all(3))] * 1001
+        refines = [run for r in range(2) for run in plan_phase(config, "refine", proposals, round_index=r).runs]
+        assert len(pilots) == 10_500 and len(refines) == 2002
+        keys = [run.seed.spawn_key for run in pilots + verify[:4] + refines]
+        assert len(set(keys)) == len(keys)
+        assert len(stream_states(pilots + verify + refines)) == 2 * len(keys)
+
+    def test_planning_twice_gives_equal_streams(self):
+        config = small_config()
+        mixtures = [("", mix) for mix in plan_seed_mixtures(config.seed_plan, 3)]
+        first = plan_phase(config, "seed", mixtures).runs
+        second = plan_phase(config, "seed", mixtures).runs
+        assert [stream_states([a]) for a in first] == [stream_states([b]) for b in second]
 
     def test_unknown_phase(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixlab import rewards
-from mixlab.errors import InvalidBox, MalformedLine
+from mixlab.errors import InvalidBox, InvalidPair, MalformedLine
 from mixlab.rewards import (
     BoundingBox,
     RewardWeights,
@@ -325,6 +325,26 @@ class TestBestBox:
         assert best_box(boxes) == BoundingBox(0, 0, 1, 1)
 
 
+# (prediction, gold, mode) triples whose types the mode cannot score
+BAD_TYPES = [
+    (GROUNDED, [1, 2, 3], "box"),
+    (GROUNDED, [3, 3, 1, 1], "box"),
+    (GROUNDED, [1, 1, 2, 2, 3], "box"),
+    (GROUNDED, [True, 1, 2, 2], "box"),
+    (GROUNDED, ["1", 1, 2, 2], "box"),
+    (GROUNDED, {"x1": 1}, "box"),
+    (GROUNDED, "1,1,2,2", "box"),
+    (GROUNDED, [1, 1, 10**400, 2], "box"),
+    (GROUNDED, [1, 1, float("inf"), 2], "box"),
+    (GROUNDED, [float("nan"), 1, 2, 2], "box"),
+    (7, [422, 781, 464, 926], "box"),
+    (7, "B", "text"),
+    (None, "B", "text"),
+    (REASONED, 5, "text"),
+    (REASONED, ["B"], "text"),
+]
+
+
 class TestScoringFiles:
     def test_text_pair(self):
         assert score_pair(REASONED, "B", "text").total == 3.0
@@ -356,29 +376,18 @@ class TestScoringFiles:
         with pytest.raises(MalformedLine):
             score_pairs(["not json"])
 
-    @pytest.mark.parametrize("prediction, gold, mode", [
-        (GROUNDED, [1, 2, 3], "box"),
-        (GROUNDED, [3, 3, 1, 1], "box"),
-        (GROUNDED, [1, 1, 2, 2, 3], "box"),
-        (GROUNDED, [True, 1, 2, 2], "box"),
-        (GROUNDED, ["1", 1, 2, 2], "box"),
-        (GROUNDED, {"x1": 1}, "box"),
-        (GROUNDED, "1,1,2,2", "box"),
-        (GROUNDED, [1, 1, 10**400, 2], "box"),
-        (GROUNDED, [1, 1, float("inf"), 2], "box"),
-        (GROUNDED, [float("nan"), 1, 2, 2], "box"),
-        (7, [422, 781, 464, 926], "box"),
-        (7, "B", "text"),
-        (None, "B", "text"),
-        (REASONED, 5, "text"),
-        (REASONED, ["B"], "text"),
-    ])
+    @pytest.mark.parametrize("prediction, gold, mode", BAD_TYPES)
     def test_bad_types_name_the_line(self, prediction, gold, mode):
         good = json.dumps({"prediction": REASONED, "gold": "B", "mode": "text"})
         bad = json.dumps({"prediction": prediction, "gold": gold, "mode": mode})
         with pytest.raises(MalformedLine) as excinfo:
             score_pairs([good, "", bad])
         assert excinfo.value.line_number == 3
+
+    @pytest.mark.parametrize("prediction, gold, mode", BAD_TYPES)
+    def test_score_pair_rejects_bad_types(self, prediction, gold, mode):
+        with pytest.raises(InvalidPair):
+            score_pair(prediction, gold, mode)
 
     def test_float_box_gold_accepted(self):
         line = json.dumps({"prediction": GROUNDED, "gold": [422.0, 781, 464.5, 926], "mode": "box"})

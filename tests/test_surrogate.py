@@ -7,6 +7,7 @@ from mixlab.errors import DimensionMismatch, InsufficientRecords, SingularSystem
 from mixlab.mixtures import MixtureWeights, normalize_to_simplex
 from mixlab.records import BenchmarkSpec, PerformanceRecord, table2_fixture
 from mixlab.surrogate import (
+    FitConfig,
     SurrogateModel,
     cross_validated_fit,
     design_matrix,
@@ -212,6 +213,20 @@ class TestCrossValidatedFit:
         records = synthetic_records(truth, 4, seed=8)
         with pytest.raises(InsufficientRecords):
             cross_validated_fit(records, degree=1, suite=OUT_SUITE)
+        # a valid fraction that rounds to no test row among the records is a data error
+        records = synthetic_records(truth, 5, seed=8)
+        with pytest.raises(InsufficientRecords, match="no test rows"):
+            cross_validated_fit(records, degree=1, test_fraction=0.1, suite=OUT_SUITE)
+
+    @pytest.mark.parametrize("settings", [
+        dict(degree=3), dict(n_splits=0), dict(test_fraction=0.0), dict(test_fraction=1.0),
+        dict(test_fraction=1.5),
+    ])
+    def test_bad_settings_rejected_before_fitting(self, settings):
+        with pytest.raises(ValueError):
+            FitConfig(**settings)
+        with pytest.raises(ValueError):
+            cross_validated_fit([], **{"degree": 2, **settings})
 
     def test_constant_scores_raise_zero_variance(self):
         constant = SurrogateModel(degree=1, intercept=0.5, linear=np.zeros(2))

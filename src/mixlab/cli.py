@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -43,7 +43,14 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems instead of exiting(2)."""
+    """argparse variant that reports usage problems instead of exiting(2).
+
+    A flag left off is absent from the parsed namespace: each setting's one
+    default lives in the config dataclass or function the flag feeds.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, argument_default=argparse.SUPPRESS, **kwargs)
 
     def error(self, message):
         raise UsageError(message)
@@ -62,20 +69,42 @@ def _resolved_seed(value: int | None) -> int:
 
 
 def _from_options(build, *args, **kwargs):
-    """``build(*args, **kwargs)``, its ValueError or TypeError a usage error.
+    """``build(*args, **kwargs)``, its ValueError, TypeError or KeyError a usage error.
 
     Wrap only the step that turns options or a config file into objects: a
     ValueError from the work itself (numpy's LinAlgError) is a data error.
     """
     try:
         return build(*args, **kwargs)
+    except KeyError as exc:
+        raise UsageError(f"missing key {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _fit_config(args, seed: int) -> FitConfig:
-    return _from_options(FitConfig, degree=args.degree, n_splits=args.splits,
-                         test_fraction=args.test_fraction, seed=seed, target=args.target)
+def _given(args, *names: str) -> dict:
+    """The flags among ``names`` (their ``dest``) given on the command line."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
+def _config(cls, args, **resolved):
+    """``cls`` from the given flags named after its fields, and ``resolved`` values."""
+    return _from_options(cls, **{**_given(args, *(f.name for f in fields(cls))), **resolved})
+
+
+def _read_config(path: str, from_dict):
+    """``from_dict`` of the JSON object in a config file."""
+    obj = _from_options(json.loads, Path(path).read_text())  # json.JSONDecodeError is a ValueError
+    if not isinstance(obj, dict):
+        raise UsageError(f"{path} does not hold a JSON object")
+    return _from_options(from_dict, obj)
+
+
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _load_suite(path: str | None):
@@ -91,31 +120,31 @@ def build_parser() -> _Parser:
                        help="recompute In/Out scores for every record in a file")
     p.add_argument("--records", required=True)
     p.add_argument("--suite", default=None, help="benchmark suite JSON (default: bundled)")
-    p.add_argument("--pretty", action="store_true", help="aligned table instead of JSONL")
+    p.add_argument("--pretty", action="store_true", default=False, help="aligned table instead of JSONL")
 
     p = sub.add_parser("heuristic",
                        help="predict mixture weights from pilot records")
     p.add_argument("--method", required=True, choices=["alpha", "coli", "norm"])
     p.add_argument("--records", required=True)
     p.add_argument("--suite", default=None)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--alpha-single", type=float, default=1.0)
-    p.add_argument("--lambda", dest="ridge_lambda", type=float, default=1e-3)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--alpha-single", type=float)
+    p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--m", type=int, default=None, help="dataset count (default: inferred)")
 
     fit = sub.add_parser("fit", help="cross-validated response-surface fit on weighted records")
     fit.add_argument("--out", default=None, help="also save the model JSON here")
     proposer = sub.add_parser("propose", help="fit a surrogate and emit top-k candidate mixtures")
-    proposer.add_argument("--n", type=int, default=10000)
-    proposer.add_argument("--k", type=int, default=10)
-    proposer.add_argument("--jitter", type=float, default=1e-4)
+    proposer.add_argument("--n", dest="n_samples", type=int)
+    proposer.add_argument("--k", type=int)
+    proposer.add_argument("--jitter", type=float)
     for p in (fit, proposer):  # the surrogate-fit options both share
         p.add_argument("--records", required=True)
         p.add_argument("--suite", default=None)
-        p.add_argument("--degree", type=int, default=2, choices=[1, 2])
-        p.add_argument("--splits", type=int, default=5)
-        p.add_argument("--test-fraction", type=float, default=0.2)
-        p.add_argument("--target", default="out")
+        p.add_argument("--degree", type=int)
+        p.add_argument("--splits", dest="n_splits", type=int)
+        p.add_argument("--test-fraction", type=float)
+        p.add_argument("--target")
         p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("sample",
@@ -124,7 +153,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pools", required=True, help="comma-separated pool sizes")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--renormalize", action="store_true",
+    p.add_argument("--renormalize", action="store_true", default=False,
                    help="drop exhausted domains instead of stopping")
 
     p = sub.add_parser("simulate",
@@ -132,11 +161,11 @@ def build_parser() -> _Parser:
     p.add_argument("--world", required=True, help="world spec JSON file")
     p.add_argument("--world-seed", type=int, default=0)
     p.add_argument("--weights", required=True, help="mixture file")
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--group-size", type=int, default=6)
-    p.add_argument("--kl-coeff", type=float, default=0.04)
-    p.add_argument("--clip-epsilon", type=float, default=0.2)
-    p.add_argument("--peak-lr", type=float, default=0.1)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--group-size", type=int)
+    p.add_argument("--kl-coeff", type=float)
+    p.add_argument("--clip-epsilon", type=float)
+    p.add_argument("--peak-lr", dest="peak_learning_rate", type=float)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--id", default=None, help="record id (default: derived)")
     p.add_argument("--out", required=True, help="records file to append to")
@@ -147,7 +176,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", default="pipeline-out")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored: each training phase runs as one batch in this process")
-    p.add_argument("--refine-rounds", type=int, default=0)
+    p.add_argument("--refine-rounds", type=_non_negative)
 
     return parser
 
@@ -195,13 +224,13 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_heuristic(args) -> int:
-    cfg = _from_options(AlphaConfig, alpha=args.alpha, alpha_single=args.alpha_single)
+    cfg = _config(AlphaConfig, args)
     suite = _load_suite(args.suite)
     records = read_records(args.records, suite=suite)
     if args.method == "alpha":
         weights = alpha_weights(records, cfg, m=args.m, suite=suite)
     elif args.method == "coli":
-        weights = colinearity_weights(records, lam=args.ridge_lambda, m=args.m, suite=suite)
+        weights = colinearity_weights(records, m=args.m, suite=suite, **_given(args, "lam"))
     else:
         weights = leave_one_out_weights(records, m=args.m, suite=suite)
     print(format_mixture(weights))
@@ -211,10 +240,10 @@ def _cmd_heuristic(args) -> int:
 def _cmd_fit(args) -> int:
     seed = _resolved_seed(args.seed)
     _note_seed(seed)
-    fit_config = _fit_config(args, seed)
+    fit_config = _config(FitConfig, args, seed=seed)
     suite = _load_suite(args.suite)
     records = read_records(args.records, suite=suite)
-    model, report = cross_validated_fit(records, suite=suite, **asdict(fit_config))
+    model, report = cross_validated_fit(records, fit_config, suite=suite)
     print(json.dumps({"model": model.to_dict(), "report": report.to_dict()}))
     if args.out:
         model.save(args.out)
@@ -224,8 +253,8 @@ def _cmd_fit(args) -> int:
 def _cmd_propose(args) -> int:
     seed = _resolved_seed(args.seed)
     _note_seed(seed)
-    fit_config = _fit_config(args, seed)
-    proposal_config = _from_options(ProposalConfig, n_samples=args.n, k=args.k, jitter=args.jitter, seed=seed)
+    fit_config = _config(FitConfig, args, seed=seed)
+    proposal_config = _config(ProposalConfig, args, seed=seed)
     suite = _load_suite(args.suite)
     records = read_records(args.records, suite=suite)
     result = propose(records, fit_config, proposal_config, suite=suite)
@@ -258,15 +287,8 @@ def _cmd_sample(args) -> int:
 def _cmd_simulate(args) -> int:
     seed = _resolved_seed(args.seed)
     _note_seed(seed)
-    config = _from_options(
-        GrpoConfig,
-        group_size=args.group_size,
-        clip_epsilon=args.clip_epsilon,
-        kl_coeff=args.kl_coeff,
-        peak_learning_rate=args.peak_lr,
-        steps=args.steps,
-    )
-    spec = world_spec_from_dict(json.loads(Path(args.world).read_text()))
+    config = _config(GrpoConfig, args)
+    spec = _read_config(args.world, world_spec_from_dict)
     world = make_world(spec, args.world_seed)
     weights = read_mixture_file(args.weights)
     record = train_with_mixture(world, weights, config, seed, record_id=args.id)
@@ -278,11 +300,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    if args.refine_rounds < 0:
-        raise UsageError(f"--refine-rounds must be >= 0, got {args.refine_rounds}")
-    config = _from_options(pipeline_config_from_dict, json.loads(Path(args.config).read_text()))
+    config = _read_config(args.config, pipeline_config_from_dict)
     _note_seed(config.base_seed)
-    report = run_full(config, refine_rounds=args.refine_rounds)
+    report = run_full(config, **_given(args, "refine_rounds"))
     write_report(report, args.out_dir)
     print(report.summary_table())
     return 0

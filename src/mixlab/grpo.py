@@ -32,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import check_types
 from .errors import DimensionMismatch, GroupTooSmall, SupportMismatch
 from .mixtures import MixtureWeights
 from .records import PerformanceRecord
@@ -53,6 +54,7 @@ class GrpoConfig:
     reward_weights: RewardWeights = field(default_factory=RewardWeights)
 
     def __post_init__(self):
+        check_types(self)
         if self.group_size < 2:
             raise ValueError("group_size must be >= 2")
         if not 0.0 < self.clip_epsilon < 1.0:
@@ -102,11 +104,14 @@ def group_advantages(rewards: Sequence[float]) -> np.ndarray:
         raise GroupTooSmall(f"need a group of at least 2 rewards, got {r.size}")
     if r.max() == r.min():
         return np.zeros_like(r)
-    mean = r.mean()
-    std = math.sqrt(float(((r - mean) ** 2).mean()))
+    centred = r - r.mean()
+    # second centring pass: when the spread is small next to the rewards, the
+    # first mean's rounding error survives the division by std as a nonzero mean
+    centred -= centred.mean()
+    std = math.sqrt(float((centred**2).mean()))
     if std == 0.0:  # spread too small for the variance to survive squaring
         return np.zeros_like(r)
-    return (r - mean) / std
+    return centred / std
 
 
 def clipped_term(ratio: float, advantage: float, epsilon: float) -> float:
@@ -131,16 +136,11 @@ def categorical_kl(p: Sequence[float], q: Sequence[float]) -> float:
 class TrajectoryGroup:
     """G sampled actions for one task with everything the objective needs."""
 
-    skill: int
-    gold: int
     actions: np.ndarray
-    rewards: np.ndarray
     advantages: np.ndarray
     logp_theta: np.ndarray
     logp_old: np.ndarray
-    logp_ref: np.ndarray
     dist_theta: np.ndarray
-    dist_old: np.ndarray
     dist_ref: np.ndarray
 
     @property
@@ -164,24 +164,17 @@ def build_group(
     epochs) without touching the sampled actions.
     """
     dist_theta = policy.action_dist(skill)
-    dist_old = old_policy.action_dist(skill)
-    dist_ref = ref_policy.action_dist(skill)
     rewards = np.array([
         combined_reward(1, accuracy=int(a == gold), weights=config.reward_weights).total
         for a in actions
     ])
     return TrajectoryGroup(
-        skill=skill,
-        gold=gold,
         actions=np.asarray(actions),
-        rewards=rewards,
         advantages=group_advantages(rewards),
         logp_theta=np.log(dist_theta[actions]),
-        logp_old=np.log(dist_old[actions]),
-        logp_ref=np.log(dist_ref[actions]),
+        logp_old=np.log(old_policy.action_dist(skill)[actions]),
         dist_theta=dist_theta,
-        dist_old=dist_old,
-        dist_ref=dist_ref,
+        dist_ref=ref_policy.action_dist(skill),
     )
 
 
@@ -301,9 +294,9 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def _advantage_rows(rewards: np.ndarray) -> np.ndarray:
-    """:func:`group_advantages` of each row, with the same zero-spread guards."""
-    mean = rewards.mean(axis=1, keepdims=True)
-    centered = rewards - mean
+    """:func:`group_advantages` of each row, with the same two centring passes and guards."""
+    centered = rewards - rewards.mean(axis=1, keepdims=True)
+    centered = centered - centered.mean(axis=1, keepdims=True)
     std = np.sqrt((centered ** 2).mean(axis=1, keepdims=True))
     flat = (rewards.max(axis=1, keepdims=True) == rewards.min(axis=1, keepdims=True)) | (std == 0.0)
     return np.where(flat, 0.0, centered / np.where(flat, 1.0, std))

@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import check_types
 from .errors import (
     AllZeroAdjusted,
     DuplicateCombination,
@@ -38,8 +39,6 @@ from .errors import (
 from .mixtures import MixtureWeights, normalize_to_simplex
 from .records import BenchmarkSpec, PerformanceRecord, bundled_suite, weighted_aggregate
 from .surrogate import ridge_fit
-
-DEFAULT_RIDGE_LAMBDA = 1e-3
 
 # Affine transform constants mapping normalized exclude-one scores to raw
 # weights in [0.1, 0.2]; kept literal (they are not rescaled with m).
@@ -55,6 +54,7 @@ class AlphaConfig:
     alpha_single: float = 1.0
 
     def __post_init__(self):
+        check_types(self)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if not 0.0 <= self.alpha_single <= 1.0:
@@ -152,7 +152,7 @@ def alpha_weights(
 
 def colinearity_weights(
     records: Sequence[PerformanceRecord],
-    lam: float = DEFAULT_RIDGE_LAMBDA,
+    lam: float = 1e-3,
     m: int | None = None,
     suite: Sequence[BenchmarkSpec] | None = None,
 ) -> MixtureWeights:

@@ -33,6 +33,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .config import check_types, from_dict
 from .errors import DimensionMismatch
 from .grpo import GrpoConfig, RunSpec, train_runs
 from .grpo import train_with_mixture  # noqa: F401  (unused; perfbench/tracing.py patches this binding)
@@ -50,8 +51,11 @@ class SeedPlan:
     replicates: int = 1  # pilot runs per planned mixture (distinct streams)
 
     def __post_init__(self):
+        check_types(self)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if not (self.singles or self.exclude_ones or self.include_all):
+            raise ValueError("the seed plan must include at least one mixture")
 
 
 @dataclass(frozen=True)
@@ -67,12 +71,11 @@ class PipelineConfig:
     records_path: str | None = None  # reuse pilot records instead of training them
 
     def __post_init__(self):
+        check_types(self)
         if self.verify_seeds < 1:
             raise ValueError("verify_seeds must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
-        if not (self.seed_plan.singles or self.seed_plan.exclude_ones or self.seed_plan.include_all):
-            raise ValueError("the seed plan must include at least one mixture")
 
 
 @dataclass(frozen=True)
@@ -331,20 +334,10 @@ def write_report(report: PipelineReport, out_dir: str | Path) -> dict[str, Path]
 
 
 def pipeline_config_from_dict(obj: dict) -> PipelineConfig:
-    """Build a PipelineConfig from the CLI's JSON config file format."""
-    from .rewards import RewardWeights
+    """Build a PipelineConfig from the CLI's JSON config file format (see the README).
 
-    train_kwargs = dict(obj.get("train", {}))
-    if isinstance(train_kwargs.get("reward_weights"), dict):
-        train_kwargs["reward_weights"] = RewardWeights(**train_kwargs["reward_weights"])
-    return PipelineConfig(
-        world_spec=world_spec_from_dict(obj["world"]),
-        world_seed=int(obj.get("world_seed", 0)),
-        train=GrpoConfig(**train_kwargs),
-        seed_plan=SeedPlan(**obj.get("seed_plan", {})),
-        fit=FitConfig(**obj.get("fit", {})),
-        proposal=ProposalConfig(**obj.get("proposal", {})),
-        verify_seeds=int(obj.get("verify_seeds", 3)),
-        base_seed=int(obj.get("base_seed", 42)),
-        records_path=obj.get("records_path"),
-    )
+    The keys are its fields, the world spec going under ``"world"``; a nested
+    dict holds the fields of its dataclass.  Omitted keys take the defaults.
+    """
+    rest = {key: value for key, value in obj.items() if key != "world"}
+    return from_dict(PipelineConfig, rest, world_spec=world_spec_from_dict(obj["world"]))

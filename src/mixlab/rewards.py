@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .config import check_types
 from .errors import InvalidBox, InvalidPair, MalformedLine
 
 TAG_PATTERN = re.compile(r"<think>(.*?)</think>\s*<answer>(.*?)</answer>", re.DOTALL)
@@ -48,6 +49,7 @@ class RewardWeights:
     format: float = 1.0
 
     def __post_init__(self):
+        check_types(self)
         if self.accuracy < 0 or self.format < 0:
             raise ValueError("reward weights must be >= 0")
 

@@ -14,11 +14,12 @@ standard-normal block from numpy's seeded PCG64 generator.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .config import check_types
 from .errors import EmptyCandidates, MixLabError, NoSurvivors, TooFewPoints
 from .mixtures import MixtureWeights
 from .records import BenchmarkSpec, PerformanceRecord
@@ -41,6 +42,7 @@ class ProposalConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_types(self)
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if not 0 <= self.k <= self.n_samples:
@@ -122,7 +124,7 @@ def propose(
     baseline row (no mixture) is excluded from both the surrogate fit and the
     Gaussian fit.
     """
-    model, report = cross_validated_fit(records, suite=suite, **asdict(fit_config))
+    model, report = cross_validated_fit(records, fit_config, suite=suite)
     observed = [r.weights for r in records if r.weights is not None]
     gaussian = fit_gaussian(observed, jitter=proposal_config.jitter)
     if proposal_config.k == 0:

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import check_types
 from .errors import DimensionMismatch, InsufficientRecords, SingularSystem, ZeroVariance
 from .mixtures import MixtureWeights
 from .records import BenchmarkSpec, PerformanceRecord, bundled_suite, weighted_aggregate
@@ -191,6 +192,7 @@ class FitConfig:
     target: str = "out"  # "in", "out", or a benchmark name
 
     def __post_init__(self):
+        check_types(self)
         if self.degree not in (1, 2):
             raise ValueError(f"degree must be 1 or 2, got {self.degree}")
         if self.n_splits < 1:
@@ -225,7 +227,7 @@ class FitReport:
 
 def fitting_rows(
     records: Sequence[PerformanceRecord],
-    target: str = "out",
+    target: str,
     suite: Sequence[BenchmarkSpec] | None = None,
 ) -> tuple[list[MixtureWeights], np.ndarray]:
     """Extract (mixture, target score) pairs from records that carry weights.
@@ -252,11 +254,7 @@ def fitting_rows(
 
 def cross_validated_fit(
     records: Sequence[PerformanceRecord],
-    degree: int,
-    n_splits: int = 5,
-    test_fraction: float = 0.2,
-    seed: int = 0,
-    target: str = "out",
+    config: FitConfig = FitConfig(),
     suite: Sequence[BenchmarkSpec] | None = None,
 ) -> tuple[SurrogateModel, FitReport]:
     """Fit on random train/test splits and keep the split with best test R^2.
@@ -267,27 +265,27 @@ def cross_validated_fit(
     Splits whose drawn rows have constant scores carry R^2 = NaN and are
     skipped when choosing the winner.
     """
-    FitConfig(degree, n_splits, test_fraction, seed, target)  # raises ValueError on bad settings
-    mixtures, y = fitting_rows(records, target=target, suite=suite)
+    mixtures, y = fitting_rows(records, target=config.target, suite=suite)
     n = len(mixtures)
     if n < 5:
         raise InsufficientRecords(f"need at least 5 weighted records, got {n}")
 
     m = mixtures[0].m
-    X = design_matrix(mixtures, degree)
-    n_train = math.ceil((1.0 - test_fraction) * n)
+    X = design_matrix(mixtures, config.degree)
+    n_train = math.ceil((1.0 - config.test_fraction) * n)
     if n_train == n:
-        raise InsufficientRecords(f"test fraction {test_fraction} leaves no test rows among {n} records")
+        raise InsufficientRecords(
+            f"test fraction {config.test_fraction} leaves no test rows among {n} records")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     models: list[SurrogateModel] = []
     train_scores: list[float] = []
     test_scores: list[float] = []
-    for _ in range(n_splits):
+    for _ in range(config.n_splits):
         perm = rng.permutation(n)
         train_idx, test_idx = perm[:n_train], perm[n_train:]
         beta = least_squares_fit(X[train_idx], y[train_idx])
-        models.append(model_from_coefficients(beta, m, degree))
+        models.append(model_from_coefficients(beta, m, config.degree))
         train_scores.append(_r_squared_or_nan(X[train_idx] @ beta, y[train_idx]))
         test_scores.append(_r_squared_or_nan(X[test_idx] @ beta, y[test_idx]))
 
@@ -295,7 +293,7 @@ def cross_validated_fit(
         raise ZeroVariance("every split drew test rows with identical scores")
     best = int(np.nanargmax(test_scores))
     report = FitReport(
-        degree=degree,
+        degree=config.degree,
         n_records=n,
         coefficient_count=models[best].coefficient_count,
         train_r2=tuple(train_scores),

@@ -20,11 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import check_types, is_int
 from .errors import InvalidSpec
 from .mixtures import DomainCatalog
 from .records import BenchmarkSpec
-
-DEFAULT_BENCHMARK_COUNT = 1000
 
 
 @dataclass(frozen=True)
@@ -34,14 +33,19 @@ class BenchmarkDef:
     name: str
     group: str
     skill_weights: tuple[float, ...]
-    count: int = DEFAULT_BENCHMARK_COUNT
+    count: int = 1000
+
+    def __post_init__(self):
+        check_types(self)
 
     @classmethod
-    def uniform_over(cls, name: str, group: str, skills: Sequence[int], k: int,
-                     count: int = DEFAULT_BENCHMARK_COUNT) -> "BenchmarkDef":
+    def uniform_over(cls, name: str, group: str, skills: Sequence[int], k: int, **fields) -> "BenchmarkDef":
+        """Equal weight on each of ``skills``; ``fields`` are the other BenchmarkDef fields."""
+        if not skills or not all(is_int(s) and 0 <= s < k for s in skills):
+            raise InvalidSpec(f"benchmark {name!r} needs skills that are integers in [0, {k})")
         weights = np.zeros(k)
         weights[list(skills)] = 1.0 / len(skills)
-        return cls(name=name, group=group, skill_weights=tuple(weights), count=count)
+        return cls(name=name, group=group, skill_weights=tuple(weights), **fields)
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,7 @@ class WorldSpec:
     benchmarks: tuple[BenchmarkDef, ...] | None = None
 
     def __post_init__(self):
+        check_types(self)
         if self.m < 1 or self.k < self.m:
             raise InvalidSpec(f"need k >= m >= 1, got m={self.m}, k={self.k}")
         if self.A < 2:
@@ -196,36 +201,23 @@ def benchmark_scores(world: SyntheticWorld, theta: np.ndarray) -> dict[str, floa
     }
 
 
+def _tuples(value):
+    """A JSON value with every list in it, at any depth, turned into a tuple."""
+    if isinstance(value, dict):
+        return {key: _tuples(v) for key, v in value.items()}
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
 def world_spec_from_dict(obj: dict) -> WorldSpec:
-    """Build a WorldSpec from a JSON-style dict (the CLI world file format)."""
-    benchmarks = None
-    if obj.get("benchmarks") is not None:
-        k = int(obj["k"])
-        parsed = []
-        for bench in obj["benchmarks"]:
-            if "skills" in bench:
-                parsed.append(BenchmarkDef.uniform_over(
-                    bench["name"], bench["group"], bench["skills"], k,
-                    count=bench.get("count", DEFAULT_BENCHMARK_COUNT),
-                ))
-            else:
-                parsed.append(BenchmarkDef(
-                    name=bench["name"],
-                    group=bench["group"],
-                    skill_weights=tuple(float(v) for v in bench["skill_weights"]),
-                    count=bench.get("count", DEFAULT_BENCHMARK_COUNT),
-                ))
-        benchmarks = tuple(parsed)
-    domain_skills = None
-    if obj.get("domain_skills") is not None:
-        domain_skills = tuple(tuple(int(s) for s in skills) for skills in obj["domain_skills"])
-    return WorldSpec(
-        m=int(obj["m"]),
-        k=int(obj["k"]),
-        A=int(obj["A"]),
-        pool_sizes=tuple(int(s) for s in obj["pool_sizes"]),
-        overlap=float(obj.get("overlap", 0.5)),
-        held_out_skills=int(obj.get("held_out_skills", 0)),
-        domain_skills=domain_skills,
-        benchmarks=benchmarks,
-    )
+    """Build a WorldSpec from a JSON-style dict (the CLI world file format).
+
+    The keys are its fields, lists standing for tuples; a benchmark entry
+    holds BenchmarkDef's fields, or ``skills`` in place of ``skill_weights``.
+    """
+    fields = _tuples(dict(obj))
+    if fields.get("benchmarks") is not None:
+        fields["benchmarks"] = tuple(
+            BenchmarkDef.uniform_over(k=fields["k"], **bench) if "skills" in bench else BenchmarkDef(**bench)
+            for bench in fields["benchmarks"]
+        )
+    return WorldSpec(**fields)

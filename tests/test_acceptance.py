@@ -125,16 +125,16 @@ def test_c4_surrogate_recovery_and_nested_models():
             scores={"bin": 0.5, "bout": y},
         ))
 
-    _, quad_report = cross_validated_fit(records, degree=2, seed=1, suite=TWO_BENCH)
+    _, quad_report = cross_validated_fit(records, FitConfig(degree=2, seed=1), suite=TWO_BENCH)
     assert all(r2 >= 0.999 for r2 in quad_report.test_r2)
 
-    _, linear_report = cross_validated_fit(records, degree=1, seed=1, suite=TWO_BENCH)
+    _, linear_report = cross_validated_fit(records, FitConfig(degree=1, seed=1), suite=TWO_BENCH)
     for lo, hi in zip(linear_report.train_r2, quad_report.train_r2):
         assert lo < hi
 
     seed_rows = [r for r in table2_fixture() if r.weights is not None]
-    _, lin_t2 = cross_validated_fit(seed_rows, degree=1, seed=2)
-    _, quad_t2 = cross_validated_fit(seed_rows, degree=2, seed=2)
+    _, lin_t2 = cross_validated_fit(seed_rows, FitConfig(degree=1, seed=2))
+    _, quad_t2 = cross_validated_fit(seed_rows, FitConfig(degree=2, seed=2))
     for lo, hi in zip(lin_t2.train_r2, quad_t2.train_r2):
         if not (math.isnan(lo) or math.isnan(hi)):
             assert hi >= lo - 1e-12

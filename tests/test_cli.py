@@ -5,8 +5,10 @@ import sys
 import pytest
 
 from mixlab.cli import dispatch
+from mixlab.grpo import GrpoConfig, train_with_mixture
 from mixlab.mixtures import MixtureWeights, parse_mixture, write_mixture_file
-from mixlab.records import table2_fixture, write_records
+from mixlab.records import serialize_record, table2_fixture, write_records
+from mixlab.world import BenchmarkDef, WorldSpec, make_world
 
 
 @pytest.fixture
@@ -203,18 +205,35 @@ class TestSimulate:
                     "--steps", "30", "--seed", "4", "--out", str(path))
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_no_training_flags_is_the_library_default(self, capsys, world_file, mixture_file, tmp_path):
+        out_path = tmp_path / "records.jsonl"
+        code, _, _ = run_cli(capsys, "simulate", "--world", str(world_file), "--weights", str(mixture_file),
+                             "--seed", "4", "--out", str(out_path))
+        assert code == 0
+        spec = WorldSpec(
+            m=2, k=12, A=4, pool_sizes=(40, 40),
+            domain_skills=((0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11)),
+            benchmarks=(BenchmarkDef.uniform_over("in-0", "in", range(6), 12),
+                        BenchmarkDef.uniform_over("out-all", "out", range(12), 12)),
+        )
+        record = train_with_mixture(make_world(spec, 0), MixtureWeights((0.5, 0.5)), GrpoConfig(), 4)
+        assert out_path.read_text() == serialize_record(record) + "\n"
+
 
 PIPELINE_ARTIFACTS = ("records.jsonl", "model.json", "report.json", "summary.txt")
+
+
+PIPELINE_WORLD = {
+    "m": 2, "k": 12, "A": 4, "pool_sizes": [40, 40],
+    "domain_skills": [[0, 1, 2, 3, 4, 5], [4, 5, 6, 7, 8, 9]],
+}
 
 
 @pytest.fixture
 def pipeline_config_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
-        "world": {
-            "m": 2, "k": 12, "A": 4, "pool_sizes": [40, 40],
-            "domain_skills": [[0, 1, 2, 3, 4, 5], [4, 5, 6, 7, 8, 9]],
-        },
+        "world": PIPELINE_WORLD,
         "train": {"steps": 30},
         "seed_plan": {"replicates": 2},
         "fit": {"degree": 2, "n_splits": 3, "test_fraction": 0.34, "seed": 1},
@@ -265,6 +284,32 @@ class TestPipelineCommand:
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"verify_seeds": 0}, "verify_seeds"),
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"train": {"stepz": 30}}, "stepz"),
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"base_seed": -3}, "base_seed"),
+    (["fit", "--records", "{records}", "--degree", "3"], {}, "degree must be 1 or 2"),
+    # unknown keys, at the top level, in the world and in a benchmark entry
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"verify_seed": 10}, "verify_seed"),
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"world_spec": PIPELINE_WORLD}, "world_spec"),
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"],
+     {"world": {**PIPELINE_WORLD, "overlapp": 0.9}}, "overlapp"),
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"],
+     {"world": {**PIPELINE_WORLD, "benchmarks": [{"name": "b", "group": "out", "skils": [0, 1]}]}}, "skils"),
+    # files that are not JSON, or lack a required key
+    (["pipeline", "--config", "{not_json}", "--out-dir", "{out}"], {}, "Expecting property name"),
+    (["simulate", "--world", "{not_json}", "--weights", "{mixture}", "--out", "{out}"], {},
+     "Expecting property name"),
+    (["pipeline", "--config", "{no_world}", "--out-dir", "{out}"], {}, "missing key 'world'"),
+    (["simulate", "--world", "{no_world}", "--weights", "{mixture}", "--out", "{out}"], {}, "'train'"),
+    # wrong-typed values are not cast
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"verify_seeds": 3.7},
+     "verify_seeds must be int"),
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"world": {**PIPELINE_WORLD, "m": "2"}},
+     "m must be int"),
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"world": {**PIPELINE_WORLD, "m": True}},
+     "m must be int"),
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"],
+     {"world": {**PIPELINE_WORLD, "pool_sizes": [5.5, 40]}}, "pool_sizes must be tuple[int, ...]"),
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"],
+     {"train": {"reward_weights": {"accuracy": True}}}, "accuracy must be float"),
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"seed_plan": 2}, "seed_plan must be SeedPlan"),
 ])
 def test_bad_option_is_usage_error(capsys, tmp_path, fixture_file, world_file, mixture_file,
                                    pipeline_config_file, argv, config_changes, message):
@@ -272,7 +317,10 @@ def test_bad_option_is_usage_error(capsys, tmp_path, fixture_file, world_file, m
     pipeline_config_file.write_text(json.dumps({**config, **config_changes}))
     out = tmp_path / "out"
     paths = {"records": fixture_file, "world": world_file, "mixture": mixture_file,
-             "config": pipeline_config_file, "out": out}
+             "config": pipeline_config_file, "out": out,
+             "not_json": tmp_path / "not.json", "no_world": tmp_path / "no-world.json"}
+    paths["not_json"].write_text("{not json\n")
+    paths["no_world"].write_text(json.dumps({"train": {"steps": 5}}))
     code, stdout, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 1
     assert "usage error:" in err and message in err

@@ -147,8 +147,8 @@ class TestRunFull:
 
         records = report.fitting_records
         suite = make_world(small_spec(), 3).suite()
-        _, linear = cross_validated_fit(records, degree=1, seed=4, suite=suite)
-        _, quad = cross_validated_fit(records, degree=2, seed=4, suite=suite)
+        _, linear = cross_validated_fit(records, FitConfig(degree=1, seed=4), suite=suite)
+        _, quad = cross_validated_fit(records, FitConfig(degree=2, seed=4), suite=suite)
         compared = 0
         for lo, hi in zip(linear.train_r2, quad.train_r2):
             if math.isnan(lo) or math.isnan(hi):
@@ -230,8 +230,8 @@ class TestRefine:
             rng = np.random.default_rng(seed)
             base = sample_records(10, rng)
             extra = sample_records(3, rng)
-            _, rep_before = cross_validated_fit(base, degree=2, seed=seed, suite=suite)
-            _, rep_after = cross_validated_fit(base + extra, degree=2, seed=seed, suite=suite)
+            _, rep_before = cross_validated_fit(base, FitConfig(degree=2, seed=seed), suite=suite)
+            _, rep_after = cross_validated_fit(base + extra, FitConfig(degree=2, seed=seed), suite=suite)
             before.append(float(np.nanmax(rep_before.test_r2)))
             after.append(float(np.nanmax(rep_after.test_r2)))
         assert statistics.median(after) >= statistics.median(before)
@@ -396,4 +396,4 @@ class TestConfigFromDict:
 
     def test_minimal_parse(self):
         config = pipeline_config_from_dict({"world": {"m": 2, "k": 8, "A": 4, "pool_sizes": [20, 20]}})
-        assert config.verify_seeds == 3
+        assert config == PipelineConfig(world_spec=WorldSpec(m=2, k=8, A=4, pool_sizes=(20, 20)))

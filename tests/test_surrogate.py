@@ -175,7 +175,7 @@ class TestCrossValidatedFit:
     def test_recovers_linear(self):
         truth = SurrogateModel(degree=1, intercept=0.3, linear=np.array([0.2, 0.0, 0.1]))
         records = synthetic_records(truth, 24, seed=4)
-        model, report = cross_validated_fit(records, degree=1, seed=0, suite=OUT_SUITE)
+        model, report = cross_validated_fit(records, FitConfig(degree=1, seed=0), suite=OUT_SUITE)
         assert all(r2 >= 0.999 for r2 in report.test_r2)
         assert model.intercept == pytest.approx(0.3, abs=1e-8)
 
@@ -183,27 +183,27 @@ class TestCrossValidatedFit:
         quad = np.array([[0.4, -0.2, 0.0], [-0.2, 0.3, 0.1], [0.0, 0.1, -0.2]])
         truth = SurrogateModel(degree=2, intercept=0.4, linear=np.array([0.1, -0.05, 0.0]), quad=quad)
         records = synthetic_records(truth, 40, seed=5)
-        model, report = cross_validated_fit(records, degree=2, seed=1, suite=OUT_SUITE)
+        model, report = cross_validated_fit(records, FitConfig(degree=2, seed=1), suite=OUT_SUITE)
         assert all(r2 >= 0.999 for r2 in report.test_r2)
 
     def test_determinism(self):
         truth = SurrogateModel(degree=1, intercept=0.4, linear=np.array([0.1, 0.05]))
         records = synthetic_records(truth, 12, seed=6)
-        _, first = cross_validated_fit(records, degree=2, seed=9, suite=OUT_SUITE)
-        _, second = cross_validated_fit(records, degree=2, seed=9, suite=OUT_SUITE)
+        _, first = cross_validated_fit(records, FitConfig(degree=2, seed=9), suite=OUT_SUITE)
+        _, second = cross_validated_fit(records, FitConfig(degree=2, seed=9), suite=OUT_SUITE)
         assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
 
     def test_best_split_maximizes_test_r2(self):
         truth = SurrogateModel(degree=1, intercept=0.4, linear=np.array([0.1, 0.05, -0.1]))
         records = synthetic_records(truth, 15, seed=7)
-        _, report = cross_validated_fit(records, degree=1, seed=2, suite=OUT_SUITE)
+        _, report = cross_validated_fit(records, FitConfig(degree=1, seed=2), suite=OUT_SUITE)
         assert report.test_r2[report.best_split] == max(report.test_r2)
 
     def test_nested_models_on_bundled_seed_rows(self):
         records = [r for r in table2_fixture() if r.weights is not None]
         assert len(records) == 11
-        _, lin = cross_validated_fit(records, degree=1, seed=3)
-        _, quad = cross_validated_fit(records, degree=2, seed=3)
+        _, lin = cross_validated_fit(records, FitConfig(degree=1, seed=3))
+        _, quad = cross_validated_fit(records, FitConfig(degree=2, seed=3))
         # identical seed gives identical splits, so train R^2 compares row-wise
         for lo, hi in zip(lin.train_r2, quad.train_r2):
             assert hi >= lo - 1e-12
@@ -212,32 +212,31 @@ class TestCrossValidatedFit:
         truth = SurrogateModel(degree=1, intercept=0.4, linear=np.array([0.1, 0.05]))
         records = synthetic_records(truth, 4, seed=8)
         with pytest.raises(InsufficientRecords):
-            cross_validated_fit(records, degree=1, suite=OUT_SUITE)
+            cross_validated_fit(records, FitConfig(degree=1), suite=OUT_SUITE)
         # a valid fraction that rounds to no test row among the records is a data error
         records = synthetic_records(truth, 5, seed=8)
         with pytest.raises(InsufficientRecords, match="no test rows"):
-            cross_validated_fit(records, degree=1, test_fraction=0.1, suite=OUT_SUITE)
+            cross_validated_fit(records, FitConfig(degree=1, test_fraction=0.1), suite=OUT_SUITE)
 
     @pytest.mark.parametrize("settings", [
         dict(degree=3), dict(n_splits=0), dict(test_fraction=0.0), dict(test_fraction=1.0),
         dict(test_fraction=1.5),
     ])
     def test_bad_settings_rejected_before_fitting(self, settings):
+        # cross_validated_fit takes its settings as a FitConfig, so they fail before any fitting
         with pytest.raises(ValueError):
             FitConfig(**settings)
-        with pytest.raises(ValueError):
-            cross_validated_fit([], **{"degree": 2, **settings})
 
     def test_constant_scores_raise_zero_variance(self):
         constant = SurrogateModel(degree=1, intercept=0.5, linear=np.zeros(2))
         records = synthetic_records(constant, 10, seed=12)
         with pytest.raises(ZeroVariance):
-            cross_validated_fit(records, degree=1, suite=OUT_SUITE)
+            cross_validated_fit(records, FitConfig(degree=1), suite=OUT_SUITE)
 
     def test_coefficient_count_reported(self):
         truth = SurrogateModel(degree=1, intercept=0.4, linear=np.array([0.1, 0.05, 0.0, 0.0]))
         records = synthetic_records(truth, 20, seed=9)
-        _, report = cross_validated_fit(records, degree=2, seed=0, suite=OUT_SUITE)
+        _, report = cross_validated_fit(records, FitConfig(degree=2, seed=0), suite=OUT_SUITE)
         assert report.coefficient_count == 1 + 4 + 10
 
 

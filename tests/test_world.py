@@ -179,6 +179,13 @@ class TestWorldSpecFromDict:
         assert spec.benchmarks[0].skill_weights == pytest.approx((1 / 3, 1 / 3, 1 / 3, 0, 0, 0))
         assert spec.benchmarks[1].count == 123
 
+    @pytest.mark.parametrize("skills", [[0, 8], [-1], [0.5, 3], [True], []])
+    def test_bad_benchmark_skills_rejected(self, skills):
+        obj = {"m": 2, "k": 8, "A": 4, "pool_sizes": [3, 3],
+               "benchmarks": [{"name": "b", "group": "out", "skills": skills}]}
+        with pytest.raises(InvalidSpec, match="integers in"):
+            world_spec_from_dict(obj)
+
     def test_defaults(self):
         spec = world_spec_from_dict({"m": 2, "k": 8, "A": 4, "pool_sizes": [3, 3]})
         assert spec.overlap == 0.5

@@ -271,14 +271,7 @@ def _cmd_sample(args) -> int:
         pool_sizes = [int(p) for p in args.pools.split(",") if p.strip()]
     except ValueError as exc:
         raise UsageError(f"--pools must be comma-separated integers: {exc}") from exc
-    from .mixtures import DomainCatalog
-
-    catalog = DomainCatalog(
-        names=tuple(f"domain-{d}" for d in range(len(pool_sizes))),
-        pool_sizes=tuple(pool_sizes),
-        reward_kinds=tuple("exact-match" for _ in pool_sizes),
-    )
-    state = sampler_init(catalog, weights, seed=seed, renormalize=args.renormalize)
+    state = sampler_init(pool_sizes, weights, seed=seed, renormalize=args.renormalize)
     for domain, item in stream(state, max_steps=args.max_steps):
         print(f"({domain},{item})")
     return 0

@@ -24,11 +24,11 @@ class NotNormalized(MixLabError):
 
 
 class IndexOutOfRange(MixLabError):
-    """A domain index lies outside the catalog."""
+    """A domain index lies outside [0, m)."""
 
 
 class DegenerateCatalog(MixLabError):
-    """A catalog (or weight vector) is too small or internally inconsistent."""
+    """A set of domains (a weight vector or pool sizes) is too small or has an empty pool."""
 
 
 # --- performance records ----------------------------------------------------

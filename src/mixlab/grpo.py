@@ -8,8 +8,9 @@ which removes estimator noise from gradient checks.
 
 Rewards are the verifiable kind: the proxy policy cannot be malformed, so the
 format component is always 1 and the total is ``2 * exact_match + 1`` under
-the default weights.  That is an affine shift of the 0/1 match signal and
-leaves group-normalized advantages unchanged.
+``rewards.DEFAULT_WEIGHTS``.  Any other positive weights would be an affine
+map of the 0/1 match signal, which group normalization cancels (up to
+rounding), so the trainer takes no reward weights.
 
 Training runs go through :func:`train_runs`, which advances every run of a
 phase in lockstep as one array program over ``theta`` of shape ``(R, k, A)``.
@@ -27,7 +28,7 @@ compare the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +37,7 @@ from .config import check_types
 from .errors import DimensionMismatch, GroupTooSmall, SupportMismatch
 from .mixtures import MixtureWeights
 from .records import PerformanceRecord
-from .rewards import RewardWeights, combined_reward
+from .rewards import DEFAULT_WEIGHTS, combined_reward
 from .sampler import draw_stream
 from .sampler import init as sampler_init
 from .sampler import next_sample  # noqa: F401  (unused; perfbench/tracing.py patches this binding)
@@ -51,7 +52,6 @@ class GrpoConfig:
     warmup_fraction: float = 0.1
     steps: int = 500
     inner_epochs: int = 1
-    reward_weights: RewardWeights = field(default_factory=RewardWeights)
 
     def __post_init__(self):
         check_types(self)
@@ -165,7 +165,7 @@ def build_group(
     """
     dist_theta = policy.action_dist(skill)
     rewards = np.array([
-        combined_reward(1, accuracy=int(a == gold), weights=config.reward_weights).total
+        combined_reward(1, accuracy=int(a == gold)).total
         for a in actions
     ])
     return TrajectoryGroup(
@@ -351,7 +351,7 @@ def train_policies(
     uniforms = np.zeros((len(runs), steps, group_size))
     for r, run in enumerate(runs):
         data_stream, action_stream = run_streams(run.seed)
-        state = sampler_init(world.catalog(), run.mixture, seed=data_stream)
+        state = sampler_init(world.spec.pool_sizes, run.mixture, seed=data_stream)
         domains, items = draw_stream(state, steps)
         n = lengths[r] = len(domains)
         skills[r, :n], golds[r, :n] = world.tasks(domains, items)
@@ -359,7 +359,6 @@ def train_policies(
 
     theta = np.zeros((len(runs), world.k, world.A))
     ref = softmax(np.zeros(world.A))
-    reward = config.reward_weights
     for step in range(int(lengths.max(initial=0))):
         live = np.flatnonzero(lengths > step)
         skill = skills[live, step]
@@ -369,7 +368,8 @@ def train_policies(
         cdf = p_old.cumsum(axis=1)
         cdf /= cdf[:, -1:]
         actions = (cdf[:, None, :] <= uniforms[live, step][:, :, None]).sum(axis=2)
-        rewards = reward.accuracy * (actions == golds[live, step][:, None]) + reward.format
+        match = actions == golds[live, step][:, None]
+        rewards = DEFAULT_WEIGHTS.accuracy * match + DEFAULT_WEIGHTS.format
         advantages = _advantage_rows(rewards)
         lr = learning_rate_at(step, config)
         new = old

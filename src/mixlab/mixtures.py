@@ -1,8 +1,8 @@
 """Simplex mixture weights: validation, seed generators, and the mixture file format.
 
 A mixture assigns one sampling probability per training domain.  Weight
-positions are fixed by the domain catalog's order; position ``i`` corresponds
-to the 1-based dataset label ``i + 1`` used in record files.
+position ``i`` is domain ``i``, the world's ``i``-th pool, and corresponds to
+the 1-based dataset label ``i + 1`` used in record files.
 """
 
 from __future__ import annotations
@@ -45,32 +45,6 @@ class MixtureWeights:
     def dataset_labels(self) -> tuple[int, ...]:
         """1-based dataset labels of the support, as used in record files."""
         return tuple(i + 1 for i in self.support())
-
-
-@dataclass(frozen=True)
-class DomainCatalog:
-    """Ordered training domains; list order fixes the meaning of weight positions."""
-
-    names: tuple[str, ...]
-    pool_sizes: tuple[int, ...]
-    reward_kinds: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.names:
-            raise DegenerateCatalog("catalog needs at least one domain")
-        if len(set(self.names)) != len(self.names):
-            raise DegenerateCatalog("domain names must be unique")
-        if len(self.pool_sizes) != len(self.names) or len(self.reward_kinds) != len(self.names):
-            raise DegenerateCatalog("catalog columns must have equal length")
-        if any(size < 1 for size in self.pool_sizes):
-            raise DegenerateCatalog("pool sizes must be >= 1")
-        for kind in self.reward_kinds:
-            if kind not in ("exact-match", "iou"):
-                raise DegenerateCatalog(f"unknown reward kind {kind!r}")
-
-    @property
-    def m(self) -> int:
-        return len(self.names)
 
 
 def validate(raw: Sequence[float] | Iterable[float]) -> MixtureWeights:

@@ -45,17 +45,14 @@ from .world import SyntheticWorld, WorldSpec, make_world, world_spec_from_dict
 
 @dataclass(frozen=True)
 class SeedPlan:
-    singles: bool = True
-    exclude_ones: bool = True
-    include_all: bool = True
+    """The pilot runs: every :func:`plan_seed_mixtures` mixture, ``replicates`` times."""
+
     replicates: int = 1  # pilot runs per planned mixture (distinct streams)
 
     def __post_init__(self):
         check_types(self)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if not (self.singles or self.exclude_ones or self.include_all):
-            raise ValueError("the seed plan must include at least one mixture")
 
 
 @dataclass(frozen=True)
@@ -156,29 +153,17 @@ class PipelineReport:
         return "\n".join(lines)
 
 
-def plan_seed_mixtures(plan: SeedPlan, m: int) -> list[MixtureWeights]:
-    """Seed suite in canonical order, deduplicated by weight vector.
+def plan_seed_mixtures(m: int) -> list[MixtureWeights]:
+    """The pilot mixtures: singles, exclude-ones (m >= 2), then all; deduplicated by weight vector.
 
     With m = 2 the exclude-one mixtures coincide with the singles and drop
-    out, leaving 3 planned mixtures; with m = 5 the full plan has 11.
+    out, leaving 3 planned mixtures; with m = 5 the plan has 11.
     """
-    planned: list[MixtureWeights] = []
-    seen: set[tuple[float, ...]] = set()
-
-    def push(mix: MixtureWeights) -> None:
-        if mix.weights not in seen:
-            seen.add(mix.weights)
-            planned.append(mix)
-
-    if plan.singles:
-        for i in range(m):
-            push(seed_single(i, m))
-    if plan.exclude_ones and m >= 2:
-        for i in range(m):
-            push(seed_exclude_one(i, m))
-    if plan.include_all:
-        push(seed_all(m))
-    return planned
+    mixtures = [seed_single(i, m) for i in range(m)]
+    if m >= 2:
+        mixtures += [seed_exclude_one(i, m) for i in range(m)]
+    mixtures.append(seed_all(m))
+    return list(dict.fromkeys(mixtures))  # MixtureWeights hash and compare by weight vector
 
 
 class PhasePlan(NamedTuple):
@@ -229,7 +214,7 @@ def run_seed_phase(config: PipelineConfig, world: SyntheticWorld | None = None) 
     """Train one pilot run per planned seed mixture and replicate."""
     if world is None:
         world = make_world(config.world_spec, config.world_seed)
-    mixtures = [("", mixture) for mixture in plan_seed_mixtures(config.seed_plan, world.m)]
+    mixtures = [("", mixture) for mixture in plan_seed_mixtures(world.m)]
     return _run_all(world, plan_phase(config, "seed", mixtures))
 
 

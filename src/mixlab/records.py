@@ -17,6 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .config import check_types
 from .errors import (
     EmptyGroup,
     MalformedLine,
@@ -39,6 +40,7 @@ class BenchmarkSpec:
     group: str
 
     def __post_init__(self):
+        check_types(self)
         if self.count <= 0:
             raise ValueError(f"benchmark {self.name!r} needs a positive sample count")
         if self.group not in GROUPS:
@@ -197,9 +199,15 @@ def read_records(path: str | Path, suite: Sequence[BenchmarkSpec] | None = None)
 # --- benchmark suite files ---------------------------------------------------
 
 def parse_suite(obj: object) -> list[BenchmarkSpec]:
+    """A suite from a JSON array of objects holding BenchmarkSpec's fields; MalformedLine on any fault."""
     if not isinstance(obj, list):
         raise MalformedLine(1, "suite file must be a JSON array")
-    suite = [BenchmarkSpec(name=e["name"], count=e["count"], group=e["group"]) for e in obj]
+    suite = []
+    for index, entry in enumerate(obj):
+        try:
+            suite.append(BenchmarkSpec(**entry))
+        except (TypeError, ValueError) as exc:  # a non-object entry is a TypeError too
+            raise MalformedLine(1, f"suite entry {index}: {exc}") from exc
     names = [b.name for b in suite]
     if len(set(names)) != len(names):
         raise MalformedLine(1, "benchmark names must be unique within a suite")
@@ -207,7 +215,11 @@ def parse_suite(obj: object) -> list[BenchmarkSpec]:
 
 
 def read_suite(path: str | Path) -> list[BenchmarkSpec]:
-    return parse_suite(json.loads(Path(path).read_text()))
+    try:
+        obj = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise MalformedLine(exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    return parse_suite(obj)
 
 
 def bundled_suite() -> list[BenchmarkSpec]:

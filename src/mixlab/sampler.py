@@ -7,26 +7,27 @@ The stream ends the first time the drawn domain's pool is empty; optionally
 the sampler can instead drop exhausted domains and renormalize, but the
 default follows the stop-on-exhaustion rule.
 
-All randomness comes from numpy's seeded PCG64 generator: pool permutations
-are drawn once at init (domain 0 first), then one uniform per domain draw.
+The sampler sees a domain only as a pool size and a weight: an item is an
+index into its domain's pool.  All randomness comes from numpy's seeded PCG64
+generator: pool permutations are drawn once at init (domain 0 first), then
+one uniform per domain draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, Exhausted
-from .mixtures import DomainCatalog, MixtureWeights
+from .errors import DegenerateCatalog, DimensionMismatch, Exhausted
+from .mixtures import MixtureWeights
 
 
 @dataclass
 class SamplerState:
     """Single-owner mutable stream state; not safe for concurrent mutation."""
 
-    catalog: DomainCatalog
-    weights: MixtureWeights
     queues: list[np.ndarray]
     positions: list[int]
     rng: np.random.Generator
@@ -41,22 +42,21 @@ class SamplerState:
 
 
 def init(
-    catalog: DomainCatalog,
+    pool_sizes: Sequence[int],
     weights: MixtureWeights,
     seed: int | np.random.SeedSequence,
     renormalize: bool = False,
 ) -> SamplerState:
-    if weights.m != catalog.m:
-        raise DimensionMismatch(
-            f"weights have {weights.m} entries but catalog has {catalog.m} domains"
-        )
+    """Stream state over pools of ``pool_sizes`` items, domain ``d`` weighted by ``weights[d]``."""
+    if weights.m != len(pool_sizes):
+        raise DimensionMismatch(f"weights have {weights.m} entries for {len(pool_sizes)} pools")
+    if any(size < 1 for size in pool_sizes):
+        raise DegenerateCatalog(f"pool sizes must be >= 1, got {list(pool_sizes)}")
     rng = np.random.default_rng(seed)
-    queues = [rng.permutation(size) for size in catalog.pool_sizes]
+    queues = [rng.permutation(size) for size in pool_sizes]
     return SamplerState(
-        catalog=catalog,
-        weights=weights,
         queues=queues,
-        positions=[0] * catalog.m,
+        positions=[0] * len(queues),
         rng=rng,
         cumulative=np.cumsum(weights.to_array()),
         renormalize=renormalize,
@@ -95,7 +95,7 @@ def next_sample(state: SamplerState) -> tuple[int, int] | None:
             return None
         # drop every exhausted domain and rescale the rest
         active = state._active.copy()
-        for d in range(state.catalog.m):
+        for d in range(len(state.queues)):
             if state.remaining(d) == 0:
                 active[d] = 0.0
         total = active.sum()
@@ -128,16 +128,17 @@ def draw_stream(state: SamplerState, max_steps: int) -> tuple[np.ndarray, np.nda
         raise ValueError("draw_stream follows the stop-on-exhaustion rule only")
     if state.finished:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    m = len(state.queues)
     domains = draw_domains(state.cumulative, state._active, state.rng.random(max_steps))
     # rank[t]: how many times domains[t] was drawn up to and including step t
-    hits = domains[:, None] == np.arange(state.catalog.m)
+    hits = domains[:, None] == np.arange(m)
     rank = np.cumsum(hits, axis=0)[np.arange(max_steps), domains]
-    remaining = np.array([state.remaining(d) for d in range(state.catalog.m)])
+    remaining = np.array([state.remaining(d) for d in range(m)])
     dry = np.flatnonzero(rank > remaining[domains])
     length = int(dry[0]) if dry.size else max_steps
     domains, rank = domains[:length], rank[:length]
     items = np.empty(length, dtype=np.int64)
-    for d in range(state.catalog.m):
+    for d in range(m):
         taken = domains == d
         start = state.positions[d]
         items[taken] = state.queues[d][start + rank[taken] - 1]

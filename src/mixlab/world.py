@@ -22,7 +22,6 @@ import numpy as np
 
 from .config import check_types, is_int
 from .errors import InvalidSpec
-from .mixtures import DomainCatalog
 from .records import BenchmarkSpec
 
 
@@ -112,13 +111,6 @@ class SyntheticWorld:
     @property
     def A(self) -> int:
         return self.spec.A
-
-    def catalog(self) -> DomainCatalog:
-        return DomainCatalog(
-            names=tuple(f"domain-{d}" for d in range(self.m)),
-            pool_sizes=tuple(len(pool) for pool in self.pools),
-            reward_kinds=tuple("exact-match" for _ in range(self.m)),
-        )
 
     def suite(self) -> list[BenchmarkSpec]:
         return [BenchmarkSpec(name=b.name, count=b.count, group=b.group) for b in self.benchmarks]

@@ -226,20 +226,13 @@ def test_c7_sampler_statistics():
     freqs = empirical_frequencies(MixtureWeights((0.7, 0.3)), n=100_000, seed=2)
     assert np.abs(freqs - np.array([0.7, 0.3])).max() <= 0.01
 
-    from mixlab.mixtures import DomainCatalog
-
     rng = np.random.default_rng(3)
     for trial in range(20):
         m = int(rng.integers(1, 5))
         sizes = tuple(int(rng.integers(1, 40)) for _ in range(m))
         weights = rng.uniform(0.05, 1.0, size=m)
         mixture = MixtureWeights(tuple(weights / weights.sum()))
-        catalog = DomainCatalog(
-            names=tuple(f"d{i}" for i in range(m)),
-            pool_sizes=sizes,
-            reward_kinds=("exact-match",) * m,
-        )
-        state = sampler_init(catalog, mixture, seed=trial)
+        state = sampler_init(sizes, mixture, seed=trial)
         drawn = list(stream(state))
         assert len(set(drawn)) == len(drawn)
         assert len(drawn) <= sum(sizes)

@@ -91,6 +91,34 @@ class TestAggregate:
         code, _, _ = run_cli(capsys, "aggregate", "--records", "/nonexistent.jsonl")
         assert code == 2
 
+    GOOD_SUITE = [{"name": "A", "count": 10, "group": "in"}, {"name": "B", "count": 5, "group": "out"}]
+
+    def aggregate_with_suite(self, capsys, tmp_path, suite_text):
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"id": "r", "datasets": [1], "weights": null, "scores": {"A": 0.5, "B": 0.25}}\n')
+        suite = tmp_path / "suite.json"
+        suite.write_text(suite_text)
+        return run_cli(capsys, "aggregate", "--records", str(records), "--suite", str(suite))
+
+    def test_suite_file(self, capsys, tmp_path):
+        code, out, _ = self.aggregate_with_suite(capsys, tmp_path, json.dumps(self.GOOD_SUITE))
+        assert (code, json.loads(out)) == (0, {"id": "r", "in_score": 0.5, "out_score": 0.25})
+
+    @pytest.mark.parametrize("suite_text", [
+        json.dumps([{"name": "A", "group": "in"}, GOOD_SUITE[1]]),
+        json.dumps([{**GOOD_SUITE[0], "count": 0}, GOOD_SUITE[1]]),
+        json.dumps([{**GOOD_SUITE[0], "group": "mid"}, GOOD_SUITE[1]]),
+        json.dumps([["A", 10, "in"], GOOD_SUITE[1]]),
+        json.dumps(GOOD_SUITE)[:-1],
+        json.dumps([{**GOOD_SUITE[0], "count": True}, GOOD_SUITE[1]]),
+        json.dumps([{**GOOD_SUITE[0], "weight": 2}, GOOD_SUITE[1]]),
+    ], ids=["no-count", "zero-count", "unknown-group", "not-an-object", "invalid-json", "bool-count",
+            "unknown-key"])
+    def test_bad_suite_file_is_data_error(self, capsys, tmp_path, suite_text):
+        code, out, err = self.aggregate_with_suite(capsys, tmp_path, suite_text)
+        assert code == 2
+        assert out == "" and err.startswith("error: line ")
+
 
 class TestHeuristic:
     def test_norm_matches_module(self, capsys, fixture_file):
@@ -181,10 +209,18 @@ class TestSample:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
-    def test_bad_pools(self, capsys, mixture_file):
-        code, _, _ = run_cli(capsys, "sample", "--weights", str(mixture_file),
-                             "--pools", "4,x", "--seed", "0")
-        assert code == 1
+    @pytest.mark.parametrize("pools, exit_code", [
+        ("4,x", 1),  # not integers: a usage error
+        ("0,5", 2),  # an empty pool
+        ("", 2),  # no pools
+        ("5,5,5", 2),  # three pools for a two-weight mixture
+    ])
+    def test_bad_pools(self, capsys, mixture_file, pools, exit_code):
+        code, out, err = run_cli(capsys, "sample", "--weights", str(mixture_file),
+                                 "--pools", pools, "--seed", "0")
+        assert code == exit_code
+        assert out == ""
+        assert ("usage error:" if exit_code == 1 else "error:") in err
 
 
 class TestSimulate:
@@ -307,8 +343,10 @@ class TestPipelineCommand:
      "m must be int"),
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"],
      {"world": {**PIPELINE_WORLD, "pool_sizes": [5.5, 40]}}, "pool_sizes must be tuple[int, ...]"),
+    # settings the pipeline does not have are unknown keys
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"],
-     {"train": {"reward_weights": {"accuracy": True}}}, "accuracy must be float"),
+     {"train": {"reward_weights": {"accuracy": 2.0, "format": 1.0}}}, "reward_weights"),
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"seed_plan": {"singles": False}}, "singles"),
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"seed_plan": 2}, "seed_plan must be SeedPlan"),
 ])
 def test_bad_option_is_usage_error(capsys, tmp_path, fixture_file, world_file, mixture_file,

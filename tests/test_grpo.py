@@ -338,7 +338,7 @@ def reference_run(world, weights, config, seed):
     key = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     # spawn from a fresh copy: spawning advances the sequence it is called on
     data_stream, action_stream = np.random.SeedSequence(key.entropy, spawn_key=key.spawn_key).spawn(2)
-    state = sampler_init(world.catalog(), weights, seed=data_stream)
+    state = sampler_init(world.spec.pool_sizes, weights, seed=data_stream)
     rng = np.random.default_rng(action_stream)
     policy = ref = PolicyParams.zeros(world.k, world.A)
     steps = 0

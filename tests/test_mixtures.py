@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from mixlab.errors import DegenerateCatalog, IndexOutOfRange, NegativeEntry, NotNormalized
 from mixlab.mixtures import (
-    DomainCatalog,
     MixtureWeights,
     format_mixture,
     normalize_to_simplex,
@@ -170,24 +169,6 @@ class TestMixtureFile:
                 parse_mixture(line)
         with pytest.raises(NegativeEntry):
             parse_mixture("-inf,1")
-
-
-class TestDomainCatalog:
-    def test_basic(self):
-        cat = DomainCatalog(("a", "b"), (10, 20), ("exact-match", "iou"))
-        assert cat.m == 2
-
-    def test_duplicate_names(self):
-        with pytest.raises(DegenerateCatalog):
-            DomainCatalog(("a", "a"), (1, 1), ("exact-match", "exact-match"))
-
-    def test_bad_pool_size(self):
-        with pytest.raises(DegenerateCatalog):
-            DomainCatalog(("a",), (0,), ("exact-match",))
-
-    def test_unknown_reward_kind(self):
-        with pytest.raises(DegenerateCatalog):
-            DomainCatalog(("a",), (1,), ("bleu",))
 
 
 def test_support_and_labels():

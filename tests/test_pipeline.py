@@ -54,25 +54,12 @@ def small_config(**overrides):
 
 class TestPlanSeedMixtures:
     def test_five_domains_gives_eleven(self):
-        plan = plan_seed_mixtures(SeedPlan(), 5)
+        plan = plan_seed_mixtures(5)
         assert len(plan) == 11
 
     def test_two_domains_dedups_exclude_ones(self):
-        plan = plan_seed_mixtures(SeedPlan(), 2)
+        plan = plan_seed_mixtures(2)
         assert [p.weights for p in plan] == [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)]
-
-    def test_plan_respects_switches(self):
-        only_singles = plan_seed_mixtures(SeedPlan(exclude_ones=False, include_all=False), 4)
-        assert len(only_singles) == 4
-        no_singles = plan_seed_mixtures(SeedPlan(singles=False), 4)
-        assert len(no_singles) == 5
-
-    def test_empty_plan_rejected(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(
-                world_spec=small_spec(),
-                seed_plan=SeedPlan(singles=False, exclude_ones=False, include_all=False),
-            )
 
 
 class TestSeedPhase:
@@ -125,7 +112,7 @@ class TestRunFull:
         assert all(i.startswith("seed:") for i in fit_ids)
         assert all(i.startswith("verify:") for i in verify_ids)
         config = report.config
-        pilots = plan_phase(config, "seed", [("", mix) for mix in plan_seed_mixtures(config.seed_plan, 3)]).runs
+        pilots = plan_phase(config, "seed", [("", mix) for mix in plan_seed_mixtures(3)]).runs
         verify = plan_phase(config, "verify", [("uniform", report.uniform.weights)]).runs
         assert [run.record_id for run in pilots] == [r.id for r in report.fitting_records]
         assert {run.record_id for run in verify} == {"verify:uniform:123-v0", "verify:uniform:123-v1"}
@@ -284,7 +271,7 @@ def stream_states(runs):
 class TestPlanPhase:
     def test_seed_phase_seeds_and_ids(self):
         config = small_config()
-        mixtures = [("", mix) for mix in plan_seed_mixtures(config.seed_plan, 3)]
+        mixtures = [("", mix) for mix in plan_seed_mixtures(3)]
         plan = plan_phase(config, "seed", mixtures)
         assert plan.train is config.train
         assert [run.seed.spawn_key for run in plan.runs] == [(0, c, r) for c in range(7) for r in range(2)]
@@ -327,7 +314,7 @@ class TestPlanPhase:
         # pilots reach 7 * 1500 >= 10_000 runs and refinement rounds 1_001 proposals,
         # sizes at which fixed seed offsets overlapped the next phase or round
         config = small_config(seed_plan=SeedPlan(replicates=1500), verify_seeds=4)
-        pilots = plan_phase(config, "seed", [("", mix) for mix in plan_seed_mixtures(config.seed_plan, 3)]).runs
+        pilots = plan_phase(config, "seed", [("", mix) for mix in plan_seed_mixtures(3)]).runs
         verify = plan_phase(config, "verify", [("0", seed_all(3)), ("uniform", seed_all(3))]).runs
         proposals = [("", seed_all(3))] * 1001
         refines = [run for r in range(2) for run in plan_phase(config, "refine", proposals, round_index=r).runs]
@@ -338,7 +325,7 @@ class TestPlanPhase:
 
     def test_planning_twice_gives_equal_streams(self):
         config = small_config()
-        mixtures = [("", mix) for mix in plan_seed_mixtures(config.seed_plan, 3)]
+        mixtures = [("", mix) for mix in plan_seed_mixtures(3)]
         first = plan_phase(config, "seed", mixtures).runs
         second = plan_phase(config, "seed", mixtures).runs
         assert [stream_states([a]) for a in first] == [stream_states([b]) for b in second]
@@ -381,7 +368,7 @@ class TestConfigFromDict:
         obj = {
             "world": {"m": 2, "k": 8, "A": 4, "pool_sizes": [20, 20]},
             "world_seed": 5,
-            "train": {"steps": 30, "reward_weights": {"accuracy": 2.0, "format": 1.0}},
+            "train": {"steps": 30},
             "seed_plan": {"replicates": 2},
             "fit": {"degree": 2, "seed": 3},
             "proposal": {"n_samples": 100, "k": 2, "seed": 3},

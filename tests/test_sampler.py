@@ -3,55 +3,47 @@ import pytest
 from scipy import stats
 
 from mixlab.errors import DimensionMismatch, Exhausted
-from mixlab.mixtures import DomainCatalog, MixtureWeights, seed_all
+from mixlab.mixtures import MixtureWeights, seed_all
 from mixlab.sampler import draw_domains, draw_stream, empirical_frequencies, init, next_sample, stream
-
-
-def catalog(*pool_sizes):
-    return DomainCatalog(
-        names=tuple(f"d{i}" for i in range(len(pool_sizes))),
-        pool_sizes=tuple(pool_sizes),
-        reward_kinds=tuple("exact-match" for _ in pool_sizes),
-    )
 
 
 class TestInit:
     def test_same_seed_same_permutations(self):
-        a = init(catalog(8, 5), MixtureWeights((0.5, 0.5)), seed=3)
-        b = init(catalog(8, 5), MixtureWeights((0.5, 0.5)), seed=3)
+        a = init((8, 5), MixtureWeights((0.5, 0.5)), seed=3)
+        b = init((8, 5), MixtureWeights((0.5, 0.5)), seed=3)
         for qa, qb in zip(a.queues, b.queues):
             assert (qa == qb).all()
 
     def test_pool_of_one(self):
-        state = init(catalog(1), MixtureWeights((1.0,)), seed=0)
+        state = init((1,), MixtureWeights((1.0,)), seed=0)
         assert list(state.queues[0]) == [0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            init(catalog(3, 3, 3), MixtureWeights((0.5, 0.5)), seed=0)
+            init((3, 3, 3), MixtureWeights((0.5, 0.5)), seed=0)
 
 
 class TestNextSample:
     def test_single_domain_deterministic(self):
-        state = init(catalog(3, 5), MixtureWeights((1.0, 0.0)), seed=7)
+        state = init((3, 5), MixtureWeights((1.0, 0.0)), seed=7)
         drawn = list(stream(state))
         assert [d for d, _ in drawn] == [0, 0, 0]
         assert sorted(i for _, i in drawn) == [0, 1, 2]
         assert next_sample(state) is None
 
     def test_zero_weight_domain_never_consumed(self):
-        state = init(catalog(4, 9), MixtureWeights((1.0, 0.0)), seed=1)
+        state = init((4, 9), MixtureWeights((1.0, 0.0)), seed=1)
         list(stream(state))
         assert state.remaining(1) == 9
 
     def test_reproducible_interleaving(self):
-        first = list(stream(init(catalog(20, 20), MixtureWeights((0.5, 0.5)), seed=5), max_steps=30))
-        second = list(stream(init(catalog(20, 20), MixtureWeights((0.5, 0.5)), seed=5), max_steps=30))
+        first = list(stream(init((20, 20), MixtureWeights((0.5, 0.5)), seed=5), max_steps=30))
+        second = list(stream(init((20, 20), MixtureWeights((0.5, 0.5)), seed=5), max_steps=30))
         assert first == second
         assert {d for d, _ in first} == {0, 1}
 
     def test_stops_at_redraw_of_tiny_pool(self):
-        state = init(catalog(1, 1000), MixtureWeights((0.5, 0.5)), seed=11)
+        state = init((1, 1000), MixtureWeights((0.5, 0.5)), seed=11)
         drawn = list(stream(state))
         assert [d for d, _ in drawn].count(0) == 1
         assert state.remaining(1) > 0  # stopped while the big pool still had items
@@ -64,7 +56,7 @@ class TestNextSample:
             sizes = [int(rng.integers(1, 30)) for _ in range(m)]
             weights = rng.uniform(0.05, 1.0, size=m)
             mixture = MixtureWeights(tuple(weights / weights.sum()))
-            state = init(catalog(*sizes), mixture, seed=trial)
+            state = init(sizes, mixture, seed=trial)
             drawn = list(stream(state))
             assert len(set(drawn)) == len(drawn), "an item repeated"
             assert len(drawn) <= sum(sizes)
@@ -75,18 +67,18 @@ class TestNextSample:
 
     def test_single_weight_stream_length_equals_pool(self):
         for size in (1, 4, 17):
-            state = init(catalog(size, 50), MixtureWeights((1.0, 0.0)), seed=size)
+            state = init((size, 50), MixtureWeights((1.0, 0.0)), seed=size)
             assert len(list(stream(state))) == size
 
     def test_renormalize_consumes_everything(self):
-        state = init(catalog(2, 5), MixtureWeights((0.5, 0.5)), seed=9, renormalize=True)
+        state = init((2, 5), MixtureWeights((0.5, 0.5)), seed=9, renormalize=True)
         drawn = list(stream(state))
         assert len(drawn) == 7
         assert sorted(set(d for d, _ in drawn)) == [0, 1]
         assert next_sample(state) is None
 
     def test_steps_emitted_counter(self):
-        state = init(catalog(10, 10), MixtureWeights((0.5, 0.5)), seed=0)
+        state = init((10, 10), MixtureWeights((0.5, 0.5)), seed=0)
         list(stream(state, max_steps=6))
         assert state.steps_emitted == 6
 
@@ -120,7 +112,7 @@ class TestEmpiricalFrequencies:
     def test_marginals_match_sequential_sampler(self):
         # the vectorized harness and the stepwise sampler draw from the same rule
         weights = MixtureWeights((0.6, 0.4))
-        state = init(catalog(5000, 5000), weights, seed=4)
+        state = init((5000, 5000), weights, seed=4)
         counts = np.zeros(2)
         for domain, _ in stream(state, max_steps=5000):
             counts[domain] += 1
@@ -161,15 +153,15 @@ class TestDrawStream:
                 weights[0] = 1.0
             mixture = MixtureWeights(tuple(weights / weights.sum()))
             max_steps = int(rng.integers(0, 80))
-            expected = list(stream(init(catalog(*sizes), mixture, seed=trial), max_steps=max_steps))
-            got = bulk(init(catalog(*sizes), mixture, seed=trial), max_steps)
+            expected = list(stream(init(sizes, mixture, seed=trial), max_steps=max_steps))
+            got = bulk(init(sizes, mixture, seed=trial), max_steps)
             assert got == expected
             stopped_early += len(expected) < max_steps
         assert stopped_early > 5  # the exhaustion stop was exercised
 
     def test_stop_on_exhaustion_leaves_state_finished(self):
-        state = init(catalog(1, 1000), MixtureWeights((0.5, 0.5)), seed=11)
-        expected = sequential(init(catalog(1, 1000), MixtureWeights((0.5, 0.5)), seed=11))
+        state = init((1, 1000), MixtureWeights((0.5, 0.5)), seed=11)
+        expected = sequential(init((1, 1000), MixtureWeights((0.5, 0.5)), seed=11))
         assert bulk(state, 500) == expected
         assert state.positions == [1, len(expected) - 1]
         assert state.steps_emitted == len(expected)
@@ -178,7 +170,7 @@ class TestDrawStream:
     def test_overshoot_fallback_matches_next_sample(self):
         # shrink the CDF so about half the uniforms land past its end
         def shrunk(seed):
-            state = init(catalog(400, 400, 400), MixtureWeights((0.3, 0.7, 0.0)), seed=seed)
+            state = init((400, 400, 400), MixtureWeights((0.3, 0.7, 0.0)), seed=seed)
             state.cumulative = state.cumulative * 0.5
             return state
 
@@ -187,11 +179,11 @@ class TestDrawStream:
         assert sum(d == 1 for d, _ in expected) > 200
 
     def test_zero_steps_and_finished_state(self):
-        state = init(catalog(5, 5), MixtureWeights((0.5, 0.5)), seed=0)
+        state = init((5, 5), MixtureWeights((0.5, 0.5)), seed=0)
         assert bulk(state, 0) == []
         assert bulk(state, 10) == []
 
     def test_renormalize_rejected(self):
-        state = init(catalog(5, 5), MixtureWeights((0.5, 0.5)), seed=0, renormalize=True)
+        state = init((5, 5), MixtureWeights((0.5, 0.5)), seed=0, renormalize=True)
         with pytest.raises(ValueError):
             draw_stream(state, 3)

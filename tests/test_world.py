@@ -93,8 +93,7 @@ class TestMakeWorld:
     def test_catalog_and_suite(self):
         spec = WorldSpec(m=2, k=8, A=2, pool_sizes=(5, 9))
         world = make_world(spec, seed=8)
-        cat = world.catalog()
-        assert cat.pool_sizes == (5, 9)
+        assert tuple(len(pool) for pool in world.pools) == (5, 9)
         groups = {b.group for b in world.suite()}
         assert groups == {"in", "out"}
 

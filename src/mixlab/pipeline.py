@@ -106,12 +106,6 @@ class PipelineReport:
             return 0.0
         return self.proposals[0].realized_mean - self.uniform.realized_mean
 
-    @property
-    def best_proposal(self) -> ProposalRow | None:
-        if not self.proposals:
-            return None
-        return max(self.proposals, key=lambda row: row.realized_mean)
-
     def to_dict(self) -> dict:
         def row_dict(row: ProposalRow) -> dict:
             return {

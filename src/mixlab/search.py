@@ -62,7 +62,7 @@ def fit_gaussian(mixtures: Sequence[MixtureWeights], jitter: float = DEFAULT_JIT
     """Component-wise mean and maximum-likelihood covariance plus jitter * I."""
     if len(mixtures) < 2:
         raise TooFewPoints(f"need at least 2 mixtures, got {len(mixtures)}")
-    W = np.array([mx.to_array() for mx in mixtures], dtype=float)
+    W = np.array([mx.weights for mx in mixtures], dtype=float)
     mean = W.mean(axis=0)
     centered = W - mean
     cov = centered.T @ centered / W.shape[0]

@@ -1,11 +1,13 @@
 """Response-surface models mapping mixture weights to a performance score.
 
-Two parameterizations are supported: linear (intercept + linear term) and
-quadratic (adds a symmetric interaction matrix, evaluated as
-``b + a.w + 0.5 * w'Cw``).  Quadratic features use the distinct i <= j
-monomials rather than the full m*m outer product: predictions are identical
-and the least-squares system avoids exactly duplicated columns, which matters
-when fitting ~40 pilot records over 5 domains.
+Two parameterizations are supported: linear and quadratic, both evaluated as
+``b + a.w + 0.5 * w'Cw`` (C is None for the linear one).  Fits use the
+Scheffe mixture polynomial ``sum_i beta_i w_i + sum_{i<j} beta_ij w_i w_j``:
+on the simplex the intercept equals ``sum_i w_i`` and each ``w_i^2`` equals
+``w_i - sum_{j!=i} w_i w_j``, so an intercept and squared terms would only add
+columns that are always collinear with these m(m+1)/2.  A fitted model
+therefore has ``b = 0`` and a zero diagonal in C; any b / a / C model still
+loads and predicts.
 """
 
 from __future__ import annotations
@@ -30,17 +32,16 @@ def quadratic_pairs(m: int) -> list[tuple[int, int]]:
 
 
 def design_matrix(mixtures: Sequence[MixtureWeights], degree: int) -> np.ndarray:
-    """Rows [1, w_1..w_m] for degree 1, plus all w_i*w_j (i <= j) for degree 2."""
+    """Scheffe rows [w_1..w_m] for degree 1, plus all w_i*w_j (i < j) for degree 2."""
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
     if not mixtures:
         raise ValueError("need at least one mixture")
-    W = np.array([mx.to_array() for mx in mixtures], dtype=float)
-    n, m = W.shape
-    columns = [np.ones(n), *(W[:, i] for i in range(m))]
-    if degree == 2:
-        columns.extend(W[:, i] * W[:, j] for i, j in quadratic_pairs(m))
-    return np.column_stack(columns)
+    W = np.array([mx.weights for mx in mixtures], dtype=float)
+    if degree == 1:
+        return W
+    rows, cols = np.triu_indices(W.shape[1], k=1)
+    return np.hstack([W, W[:, rows] * W[:, cols]])
 
 
 def least_squares_fit(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -105,11 +106,6 @@ class SurrogateModel:
     def m(self) -> int:
         return int(self.linear.shape[0])
 
-    @property
-    def coefficient_count(self) -> int:
-        m = self.m
-        return 1 + m + (m * (m + 1) // 2 if self.degree == 2 else 0)
-
     def to_dict(self) -> dict:
         obj = {
             "degree": self.degree,
@@ -141,34 +137,25 @@ class SurrogateModel:
 
 
 def model_from_coefficients(beta: np.ndarray, m: int, degree: int) -> SurrogateModel:
-    """Convert design-matrix coefficients into the b / a / C parameterization.
+    """Convert Scheffe design-matrix coefficients into the b / a / C parameterization.
 
-    The i == j monomial coefficient equals C_ii / 2 and the i < j coefficient
-    equals C_ij (off-diagonal terms appear twice in w'Cw), so predictions of
-    the symmetric form match the monomial fit exactly.
+    b = 0, a_i = beta_i and C_ij = C_ji = beta_ij with a zero diagonal: each
+    off-diagonal term appears twice in w'Cw, so 0.5 * w'Cw is the interaction sum.
     """
     beta = np.asarray(beta, dtype=float)
-    intercept = float(beta[0])
-    linear = beta[1 : m + 1].copy()
+    linear = beta[:m].copy()
     if degree == 1:
-        return SurrogateModel(degree=1, intercept=intercept, linear=linear)
+        return SurrogateModel(degree=1, intercept=0.0, linear=linear)
     quad = np.zeros((m, m))
-    for (i, j), coef in zip(quadratic_pairs(m), beta[m + 1 :]):
-        if i == j:
-            quad[i, i] = 2.0 * coef
-        else:
-            quad[i, j] = quad[j, i] = coef
-    return SurrogateModel(degree=2, intercept=intercept, linear=linear, quad=quad)
+    rows, cols = np.triu_indices(m, k=1)
+    quad[rows, cols] = quad[cols, rows] = beta[m:]
+    return SurrogateModel(degree=2, intercept=0.0, linear=linear, quad=quad)
 
 
 def predict(model: SurrogateModel, w: MixtureWeights | np.ndarray) -> float:
-    arr = w.to_array() if isinstance(w, MixtureWeights) else np.asarray(w, dtype=float)
-    if arr.shape != model.linear.shape:
-        raise DimensionMismatch(f"mixture has {arr.shape[0]} entries, model expects {model.m}")
-    value = model.intercept + float(model.linear @ arr)
-    if model.degree == 2:
-        value += 0.5 * float(arr @ model.quad @ arr)
-    return value
+    """``predict_many`` on the single row ``w``."""
+    row = np.asarray(w.weights if isinstance(w, MixtureWeights) else w, dtype=float)
+    return float(predict_many(model, row.reshape(1, -1))[0])
 
 
 def predict_many(model: SurrogateModel, W: np.ndarray) -> np.ndarray:
@@ -242,6 +229,10 @@ def fitting_rows(
     for record in records:
         if record.weights is None:
             continue
+        if mixtures and record.weights.m != mixtures[0].m:
+            raise DimensionMismatch(
+                f"record {record.id!r} has {record.weights.m} weights, "
+                f"the first weighted record has {mixtures[0].m}")
         mixtures.append(record.weights)
         if target in ("in", "out"):
             values.append(weighted_aggregate(record.scores, suite, target))
@@ -295,7 +286,7 @@ def cross_validated_fit(
     report = FitReport(
         degree=config.degree,
         n_records=n,
-        coefficient_count=models[best].coefficient_count,
+        coefficient_count=X.shape[1],
         train_r2=tuple(train_scores),
         test_r2=tuple(test_scores),
         best_split=best,

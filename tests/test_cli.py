@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -159,6 +160,18 @@ class TestFit:
         for path in paths:
             run_cli(capsys, "fit", "--records", str(fixture_file), "--seed", "9", "--out", str(path))
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("command", ["fit", "propose"])
+def test_mixed_weight_lengths_are_data_error(capsys, tmp_path, command):
+    fixture = table2_fixture()
+    short = max(i for i, r in enumerate(fixture) if r.weights is not None)
+    fixture[short] = replace(fixture[short], datasets=(1, 2), weights=MixtureWeights((0.5, 0.5)))
+    records = tmp_path / "mixed.jsonl"
+    write_records(fixture, records)
+    code, _, err = run_cli(capsys, command, "--records", str(records))
+    assert code == 2
+    assert f"error: record {fixture[short].id!r} has 2 weights, the first weighted record has 5" in err
 
 
 class TestPropose:

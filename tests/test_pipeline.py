@@ -155,7 +155,6 @@ class TestKZero:
         report = run_full(config)
         assert report.proposals == ()
         assert report.delta_vs_uniform == 0.0
-        assert report.best_proposal is None
         assert len(report.uniform.realized) == 2
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from mixlab.errors import DimensionMismatch, InsufficientRecords, SingularSystem, ZeroVariance
 from mixlab.mixtures import MixtureWeights, normalize_to_simplex
+from mixlab.pipeline import plan_seed_mixtures
 from mixlab.records import BenchmarkSpec, PerformanceRecord, table2_fixture
 from mixlab.surrogate import (
     FitConfig,
@@ -40,23 +41,40 @@ def synthetic_records(model: SurrogateModel, n: int, seed: int) -> list[Performa
     return records
 
 
+def simplex_points(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    return rng.dirichlet(np.ones(m), size=n)
+
+
+def full_monomial_matrix(W: np.ndarray, degree: int) -> np.ndarray:
+    """Reference basis: [1, w_1..w_m] plus every w_i*w_j with i <= j at degree 2."""
+    columns = [np.ones(len(W)), *W.T]
+    if degree == 2:
+        columns.extend(W[:, i] * W[:, j] for i, j in quadratic_pairs(W.shape[1]))
+    return np.column_stack(columns)
+
+
 class TestDesignMatrix:
     def test_degree_two_row(self):
         X = design_matrix([MixtureWeights((0.3, 0.7))], degree=2)
-        assert X[0] == pytest.approx([1, 0.3, 0.7, 0.09, 0.21, 0.49])
+        assert X[0] == pytest.approx([0.3, 0.7, 0.21])
+
+    def test_interaction_order_is_lexicographic(self):
+        X = design_matrix([MixtureWeights((0.2, 0.3, 0.5))], degree=2)
+        assert X[0] == pytest.approx([0.2, 0.3, 0.5, 0.06, 0.1, 0.15])
 
     def test_vertex_row(self):
-        X = design_matrix([MixtureWeights((1.0, 0.0))], degree=2)
-        assert X[0] == pytest.approx([1, 1, 0, 1, 0, 0])
+        X = design_matrix([MixtureWeights((0.0, 1.0, 0.0))], degree=2)
+        assert X[0].tolist() == [0, 1, 0, 0, 0, 0]
 
     def test_degree_one_row(self):
         X = design_matrix([MixtureWeights((0.5, 0.5))], degree=1)
-        assert X[0] == pytest.approx([1, 0.5, 0.5])
+        assert X[0] == pytest.approx([0.5, 0.5])
 
-    def test_column_counts(self):
-        mixtures = [MixtureWeights((0.2, 0.3, 0.5))]
-        assert design_matrix(mixtures, 1).shape == (1, 4)
-        assert design_matrix(mixtures, 2).shape == (1, 10)
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_column_counts(self, m):
+        mixtures = [MixtureWeights((1.0 / m,) * m)]
+        assert design_matrix(mixtures, 1).shape == (1, m)
+        assert design_matrix(mixtures, 2).shape == (1, m * (m + 1) // 2)
 
     def test_pair_order_is_lexicographic(self):
         assert quadratic_pairs(3) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
@@ -132,9 +150,12 @@ class TestPredict:
         # the b/a/C parameterization must reproduce X @ beta exactly
         rng = np.random.default_rng(2)
         m = 4
-        beta = rng.normal(size=1 + m + m * (m + 1) // 2)
+        beta = rng.normal(size=m * (m + 1) // 2)
         model = model_from_coefficients(beta, m, degree=2)
-        assert model.quad == pytest.approx(model.quad.T)
+        assert model.intercept == 0.0
+        assert model.linear.tolist() == beta[:m].tolist()
+        assert (model.quad == model.quad.T).all()
+        assert np.diag(model.quad).tolist() == [0.0] * m
         mixtures = [normalize_to_simplex(rng.uniform(0.01, 1, m)) for _ in range(20)]
         X = design_matrix(mixtures, 2)
         direct = X @ beta
@@ -144,7 +165,7 @@ class TestPredict:
 
     def test_second_differences_constant_along_direction(self):
         rng = np.random.default_rng(3)
-        model = model_from_coefficients(rng.normal(size=1 + 3 + 6), 3, degree=2)
+        model = model_from_coefficients(rng.normal(size=3 + 3), 3, degree=2)
         base = np.array([0.5, 0.3, 0.2])
         direction = np.array([1.0, -0.5, -0.5])  # stays on the sum=1 plane
 
@@ -177,7 +198,9 @@ class TestCrossValidatedFit:
         records = synthetic_records(truth, 24, seed=4)
         model, report = cross_validated_fit(records, FitConfig(degree=1, seed=0), suite=OUT_SUITE)
         assert all(r2 >= 0.999 for r2 in report.test_r2)
-        assert model.intercept == pytest.approx(0.3, abs=1e-8)
+        # the intercept is not identifiable on the simplex, so compare predictions
+        held_out = np.vstack([np.eye(3), simplex_points(np.random.default_rng(40), 20, 3)])
+        assert predict_many(model, held_out) == pytest.approx(predict_many(truth, held_out), abs=1e-8)
 
     def test_recovers_quadratic(self):
         quad = np.array([[0.4, -0.2, 0.0], [-0.2, 0.3, 0.1], [0.0, 0.1, -0.2]])
@@ -233,17 +256,50 @@ class TestCrossValidatedFit:
         with pytest.raises(ZeroVariance):
             cross_validated_fit(records, FitConfig(degree=1), suite=OUT_SUITE)
 
-    def test_coefficient_count_reported(self):
-        truth = SurrogateModel(degree=1, intercept=0.4, linear=np.array([0.1, 0.05, 0.0, 0.0]))
+    @pytest.mark.parametrize("m, degree, count", [(4, 1, 4), (4, 2, 10), (5, 2, 15)])
+    def test_coefficient_count_reported(self, m, degree, count):
+        truth = SurrogateModel(degree=1, intercept=0.4, linear=np.linspace(0.1, 0.0, m))
         records = synthetic_records(truth, 20, seed=9)
-        _, report = cross_validated_fit(records, FitConfig(degree=2, seed=0), suite=OUT_SUITE)
-        assert report.coefficient_count == 1 + 4 + 10
+        _, report = cross_validated_fit(records, FitConfig(degree=degree, seed=0), suite=OUT_SUITE)
+        assert report.coefficient_count == count
+
+
+class TestScheffeBasis:
+    """The Scheffé fit predicts what a minimum-norm fit on all 1 + m + m(m+1)/2 monomials does."""
+
+    @staticmethod
+    def max_gap(W: np.ndarray, y: np.ndarray, degree: int, rng: np.random.Generator) -> float:
+        m = W.shape[1]
+        mixtures = [MixtureWeights(tuple(row)) for row in W]
+        model = model_from_coefficients(least_squares_fit(design_matrix(mixtures, degree), y), m, degree)
+        reference, *_ = np.linalg.lstsq(full_monomial_matrix(W, degree), y, rcond=None)
+        probe = np.vstack([np.eye(m), simplex_points(rng, 50, m)])
+        return float(np.abs(predict_many(model, probe) - full_monomial_matrix(probe, degree) @ reference).max())
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_matches_full_monomial_fit_on_random_designs(self, m, degree):
+        rng = np.random.default_rng(100 * m + degree)
+        columns = m if degree == 1 else m * (m + 1) // 2
+        for _ in range(20):
+            W = simplex_points(rng, columns + 5, m)
+            assert np.linalg.matrix_rank(design_matrix([MixtureWeights(tuple(r)) for r in W], degree)) == columns
+            assert self.max_gap(W, rng.normal(size=len(W)), degree, rng) <= 1e-9
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("replicates", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_matches_full_monomial_fit_on_pilot_plans(self, m, replicates, degree):
+        rng = np.random.default_rng(1000 * m + 10 * replicates + degree)
+        W = np.array([mx.weights for mx in plan_seed_mixtures(m) for _ in range(replicates)])
+        for _ in range(20):
+            assert self.max_gap(W, rng.uniform(size=len(W)), degree, rng) <= 1e-12
 
 
 class TestModelSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
-        model = model_from_coefficients(rng.normal(size=1 + 3 + 6), 3, degree=2)
+        model = model_from_coefficients(rng.normal(size=3 + 3), 3, degree=2)
         path = tmp_path / "model.json"
         model.save(path)
         again = SurrogateModel.load(path)
@@ -252,6 +308,20 @@ class TestModelSerialization:
         assert again.linear == pytest.approx(model.linear)
         assert again.quad == pytest.approx(model.quad)
 
+    def test_hand_built_model_round_trip(self, tmp_path):
+        # a b / a / C file with an intercept and a diagonal, as no Scheffé fit writes
+        quad = np.array([[0.4, -0.2, 0.1], [-0.2, -0.6, 0.3], [0.1, 0.3, 0.8]])
+        model = SurrogateModel(degree=2, intercept=0.25, linear=np.array([0.1, -0.3, 0.2]), quad=quad)
+        path = tmp_path / "model.json"
+        model.save(path)
+        again = SurrogateModel.load(path)
+        assert again.intercept == 0.25
+        assert again.linear.tolist() == model.linear.tolist()
+        assert again.quad.tolist() == quad.tolist()
+        W = simplex_points(np.random.default_rng(11), 10, 3)
+        expected = [0.25 + w @ model.linear + 0.5 * w @ quad @ w for w in W]
+        assert predict_many(again, W) == pytest.approx(expected, abs=1e-15)
+
     def test_linear_round_trip(self, tmp_path):
         model = SurrogateModel(degree=1, intercept=0.5, linear=np.array([0.25, -0.25]))
         path = tmp_path / "model.json"
@@ -259,3 +329,4 @@ class TestModelSerialization:
         again = SurrogateModel.load(path)
         assert again.quad is None
         assert again.linear == pytest.approx(model.linear)
+

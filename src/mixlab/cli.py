@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -107,6 +108,13 @@ def _non_negative(text: str) -> int:
     return value
 
 
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _load_suite(path: str | None):
     return read_suite(path) if path else bundled_suite()
 
@@ -127,9 +135,9 @@ def build_parser() -> _Parser:
     p.add_argument("--method", required=True, choices=["alpha", "coli", "norm"])
     p.add_argument("--records", required=True)
     p.add_argument("--suite", default=None)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--alpha-single", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--alpha", type=float, help="--method alpha only")
+    p.add_argument("--alpha-single", type=float, help="--method alpha only")
+    p.add_argument("--lambda", dest="lam", type=_positive_finite, help="--method coli only")
     p.add_argument("--m", type=int, default=None, help="dataset count (default: inferred)")
 
     fit = sub.add_parser("fit", help="cross-validated response-surface fit on weighted records")
@@ -159,7 +167,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate",
                        help="train on a synthetic world and append one record")
     p.add_argument("--world", required=True, help="world spec JSON file")
-    p.add_argument("--world-seed", type=int, default=0)
+    p.add_argument("--world-seed", type=_non_negative, default=0)
     p.add_argument("--weights", required=True, help="mixture file")
     p.add_argument("--steps", type=int)
     p.add_argument("--group-size", type=int)
@@ -223,12 +231,23 @@ def _cmd_aggregate(args) -> int:
     return 0
 
 
+# the flags (and their dest) that only one heuristic reads
+_METHOD_FLAGS = {
+    "alpha": {"--alpha": "alpha", "--alpha-single": "alpha_single"},
+    "coli": {"--lambda": "lam"},
+    "norm": {},
+}
+
+
 def _cmd_heuristic(args) -> int:
-    cfg = _config(AlphaConfig, args)
+    for method, flags in _METHOD_FLAGS.items():
+        for flag, dest in flags.items():
+            if method != args.method and hasattr(args, dest):
+                raise UsageError(f"{flag} applies only to --method {method}")
     suite = _load_suite(args.suite)
     records = read_records(args.records, suite=suite)
     if args.method == "alpha":
-        weights = alpha_weights(records, cfg, m=args.m, suite=suite)
+        weights = alpha_weights(records, _config(AlphaConfig, args), m=args.m, suite=suite)
     elif args.method == "coli":
         weights = colinearity_weights(records, m=args.m, suite=suite, **_given(args, "lam"))
     else:

@@ -12,21 +12,27 @@ format component is always 1 and the total is ``2 * exact_match + 1`` under
 map of the 0/1 match signal, which group normalization cancels (up to
 rounding), so the trainer takes no reward weights.
 
-Training runs go through :func:`train_runs`, which advances every run of a
-phase in lockstep as one array program over ``theta`` of shape ``(R, k, A)``.
-A run's randomness never depends on its policy: the data stream is fixed by
+Training runs go through :func:`train_runs`, which trains every run of a
+phase together as one array program over the flat logits ``(R*k, A)``.  A
+run's randomness never depends on its policy: the data stream is fixed by
 (mixture, seed, pools) and the action sampler consumes ``group_size``
-uniforms per step, so both are drawn in bulk before the first step and each
-step is a handful of array operations across all live runs (the two streams
-are :func:`run_streams`).  Every array operation rounds exactly as the
+uniforms per step, so both are drawn in bulk before the first step (the two
+streams are :func:`run_streams`).  A step then reads and writes one logit
+row, its run's row for its task's skill, so it waits only on the previous
+step of its run on that skill.  The trainer batches steps by that dependency
+(:func:`_level_schedule`): level ``l`` holds every step that is the ``l``-th
+of its run on its skill, all on distinct rows.  A phase takes as many levels
+as the most steps one run spends on one skill, not as many as a run takes
+steps.  Every array operation works row by row and rounds exactly as the
 one-group reference path (:func:`build_group`,
-:func:`objective_row_gradient`, :func:`grpo_step`) does, so the batched
-trainer reproduces a per-run ``grpo_step`` loop bit for bit; the tests
-compare the two.  The batched step leaves out only operations whose results
-are exact: a step's first inner epoch evaluates at the snapshot, where every
-ratio is exactly 1 and no sample is clipped, so it skips the ratio path, and
-later epochs reuse the step's one-hot actions and old log-probabilities.
-Group samples still add up in sample order.
+:func:`objective_row_gradient`, :func:`grpo_step`) does, so no row's result
+depends on which rows share its batch and the batched trainer reproduces a
+per-run ``grpo_step`` loop bit for bit; the tests compare the two.  The
+batched step leaves out only operations whose results are exact: a step's
+first inner epoch evaluates at the snapshot, where every ratio is exactly 1
+and no sample is clipped, so it skips the ratio path, and later epochs reuse
+the step's one-hot actions and old log-probabilities.  Group samples still
+add up in sample order.
 """
 
 from __future__ import annotations
@@ -323,13 +329,34 @@ def _gradient_rows(
     the min and 0 elsewhere.  Group samples add up in order: numpy reduces a
     non-last axis by adding whole rows in index order.
     """
-    terms = weights[:, :, None] * (onehot - p[:, None, :])
+    terms = onehot - p[:, None, :]
+    terms *= weights[:, :, None]  # in place: a block's (rows, G, A) temporaries set its peak memory
     grad = terms.sum(axis=1) / weights.shape[1]
     if config.kl_coeff > 0.0:
         log_ratio = np.log(p / q)
         kl = (p * log_ratio).sum(axis=1, keepdims=True)
         grad -= config.kl_coeff * p * (log_ratio - kl)
     return grad
+
+
+_BLOCK_ELEMENTS = 1 << 14  # (rows, G, A) elements per batch: larger batches run out of cache
+
+
+def _level_schedule(skills: np.ndarray, lengths: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every taken step, ordered by level, and where each level starts.
+
+    A step is its flat index ``run * steps + step`` into ``skills``.  Its
+    level is how many earlier steps of its run trained the same skill, i.e.
+    the same row of the flat ``(R*k, A)`` logits.  The steps of one level
+    touch distinct rows, and a row's steps come in step order, one per level.
+    Level ``l`` is ``taken[bounds[l]:bounds[l + 1]]``.
+    """
+    taken = np.flatnonzero(np.arange(skills.shape[1]) < lengths[:, None])
+    rows = taken // skills.shape[1] * k + skills.ravel()[taken]
+    by_row = np.argsort(rows, kind="stable")  # stable: a row's steps stay in step order
+    rows = rows[by_row]
+    levels = np.arange(len(rows)) - np.searchsorted(rows, rows)  # rank among the row's steps
+    return taken[by_row[np.argsort(levels, kind="stable")]], np.r_[0, np.cumsum(np.bincount(levels))]
 
 
 def train_policies(
@@ -342,8 +369,12 @@ def train_policies(
     Deterministic per (world, run, config): run r's data sampler and its
     action sampling draw from the two streams of :func:`run_streams`.
     A run ends at the step budget or the first time a drawn domain's pool is
-    exhausted; at step t only the runs still going are updated, each in the
-    one logit row of its task's skill.
+    exhausted.  A step's data, uniforms and learning rate are fixed before
+    training starts, and it reads and writes only its run's logit row for
+    its task's skill.  So the steps run level by level
+    (:func:`_level_schedule`), each level in blocks of at most
+    ``_BLOCK_ELEMENTS`` group-by-action entries; every operation works row
+    by row, so a row's result does not depend on which rows share its block.
     """
     for run in runs:
         if run.mixture.m != world.m:
@@ -361,37 +392,41 @@ def train_policies(
         skills[r, :n], golds[r, :n] = world.tasks(domains, items)
         np.random.default_rng(action_stream).random(out=uniforms[r, :n])
 
-    theta = np.zeros((len(runs), world.k, world.A))
+    theta = np.zeros((len(runs) * world.k, world.A))
     ref = softmax(np.zeros(world.A))
-    for step in range(int(lengths.max(initial=0))):
-        live = np.flatnonzero(lengths > step)
-        skill = skills[live, step]
-        old = theta[live, skill]
-        p_old = _softmax_rows(old)
-        # rng.choice(A, p=p_old): the count of normalized-CDF entries at or below u
-        cdf = p_old.cumsum(axis=1)
-        cdf /= cdf[:, -1:]
-        actions = (cdf[:, None, :] <= uniforms[live, step][:, :, None]).sum(axis=2)
-        match = actions == golds[live, step][:, None]
-        rewards = DEFAULT_WEIGHTS.accuracy * match + DEFAULT_WEIGHTS.format
-        advantages = _advantage_rows(rewards)
-        lr = learning_rate_at(step, config)
-        # the snapshot epoch evaluates at p_old: every ratio is exactly 1, so no
-        # sample is clipped and each weight is its advantage
-        onehot = (actions[:, :, None] == np.arange(world.A)).astype(float)
-        new = old + lr * _gradient_rows(p_old, onehot, advantages, ref, config)
-        if config.inner_epochs > 1:
-            rows = np.arange(len(live))[:, None]
-            logp_old = np.log(p_old[rows, actions])
-            for _ in range(1, config.inner_epochs):
-                p = _softmax_rows(new)
-                ratios = np.exp(np.log(p[rows, actions]) - logp_old)
-                clipped = np.minimum(np.maximum(ratios, 1.0 - config.clip_epsilon), 1.0 + config.clip_epsilon)
-                unclipped = ratios * advantages <= clipped * advantages
-                weights = np.where(unclipped, advantages * ratios, 0.0)
-                new = new + lr * _gradient_rows(p, onehot, weights, ref, config)
-        theta[live, skill] = new
-    return theta, lengths
+    learning_rates = np.array([learning_rate_at(step, config) for step in range(steps)])
+    taken, bounds = _level_schedule(skills, lengths, world.k)
+    block = max(1, _BLOCK_ELEMENTS // (group_size * world.A))
+    for level_start, level_end in zip(bounds[:-1], bounds[1:]):
+        for start in range(level_start, level_end, block):
+            run, step = np.divmod(taken[start:min(start + block, level_end)], steps)
+            row = run * world.k + skills[run, step]
+            old = theta[row]
+            p_old = _softmax_rows(old)
+            # rng.choice(A, p=p_old): the count of normalized-CDF entries at or below u
+            cdf = p_old.cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            actions = (cdf[:, None, :] <= uniforms[run, step][:, :, None]).sum(axis=2)
+            match = actions == golds[run, step][:, None]
+            rewards = DEFAULT_WEIGHTS.accuracy * match + DEFAULT_WEIGHTS.format
+            advantages = _advantage_rows(rewards)
+            lr = learning_rates[step][:, None]
+            # the snapshot epoch evaluates at p_old: every ratio is exactly 1, so no
+            # sample is clipped and each weight is its advantage
+            onehot = (actions[:, :, None] == np.arange(world.A)).astype(float)
+            new = old + lr * _gradient_rows(p_old, onehot, advantages, ref, config)
+            if config.inner_epochs > 1:
+                batch = np.arange(len(row))[:, None]
+                logp_old = np.log(p_old[batch, actions])
+                for _ in range(1, config.inner_epochs):
+                    p = _softmax_rows(new)
+                    ratios = np.exp(np.log(p[batch, actions]) - logp_old)
+                    clipped = np.minimum(np.maximum(ratios, 1.0 - config.clip_epsilon), 1.0 + config.clip_epsilon)
+                    unclipped = ratios * advantages <= clipped * advantages
+                    weights = np.where(unclipped, advantages * ratios, 0.0)
+                    new = new + lr * _gradient_rows(p, onehot, weights, ref, config)
+            theta[row] = new
+    return theta.reshape(len(runs), world.k, world.A), lengths
 
 
 def train_runs(

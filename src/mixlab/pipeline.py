@@ -9,8 +9,10 @@ fitting never saw.  :func:`run_full` with ``refine_rounds=n`` does all of it
 in one call; :func:`refine` continues an existing report the same way.
 
 Every training phase (seed, refine, verify) is planned by :func:`plan_phase`
-as a list of :class:`~mixlab.grpo.RunSpec` and trained in one process as one
-lockstep batch by :func:`~mixlab.grpo.train_runs`.  Each run's randomness is
+as a list of :class:`~mixlab.grpo.RunSpec` and trained together in one
+process by :func:`~mixlab.grpo.train_runs`, which batches the steps of all
+runs by the one logit row each step touches, bit-identical to training the
+runs one at a time.  Each run's randomness is
 ``SeedSequence(base_seed, spawn_key=key)`` with a key that names the phase
 and the run, so every stage is reproducible and no two runs of a pipeline
 share a stream, whatever the plan's size:
@@ -73,6 +75,8 @@ class PipelineConfig:
             raise ValueError("verify_seeds must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
+        if self.world_seed < 0:
+            raise ValueError("world_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -200,7 +204,7 @@ def plan_phase(
 
 
 def _run_all(world: SyntheticWorld, plan: PhasePlan) -> list[PerformanceRecord]:
-    """Train one phase as a single lockstep batch; every phase's records pass through here."""
+    """Train one phase as one batch (train_runs); every phase's records pass through here."""
     return train_runs(world, plan.runs, plan.train)
 
 

@@ -141,6 +141,24 @@ class TestHeuristic:
         assert code == 0
         parse_mixture(out.strip())
 
+    @pytest.mark.parametrize("method, flags, named", [
+        ("norm", ["--lambda", "1e-3"], "--lambda"),
+        ("norm", ["--lambda", "-1"], "--lambda"),
+        ("norm", ["--alpha", "5"], "--alpha"),
+        ("norm", ["--alpha-single", "0.5"], "--alpha-single"),
+        ("alpha", ["--lambda", "1e-3"], "--lambda"),
+        ("coli", ["--alpha", "0.5"], "--alpha"),
+        ("coli", ["--lambda", "-1"], "--lambda"),
+        ("coli", ["--lambda", "0"], "--lambda"),
+        ("coli", ["--lambda", "nan"], "--lambda"),
+        ("coli", ["--lambda", "inf"], "--lambda"),
+    ])
+    def test_flag_the_method_cannot_take_is_usage_error(self, capsys, fixture_file, method, flags, named):
+        code, out, err = run_cli(capsys, "heuristic", "--method", method, *flags, "--records", str(fixture_file))
+        assert code == 1
+        assert err.startswith("usage error:") and named in err
+        assert out == ""
+
 
 class TestFit:
     def test_prints_model_and_report(self, capsys, fixture_file, tmp_path):
@@ -344,6 +362,9 @@ class TestPipelineCommand:
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"verify_seeds": 0}, "verify_seeds"),
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"train": {"stepz": 30}}, "stepz"),
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"base_seed": -3}, "base_seed"),
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"world_seed": -1}, "world_seed"),
+    (["simulate", "--world", "{world}", "--weights", "{mixture}", "--world-seed", "-1", "--out", "{out}"],
+     {}, "--world-seed"),
     (["fit", "--records", "{records}", "--degree", "3"], {}, "degree must be 1 or 2"),
     # unknown keys, at the top level, in the world and in a benchmark entry
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"verify_seed": 10}, "verify_seed"),

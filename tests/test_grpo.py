@@ -459,6 +459,89 @@ class TestTrainRuns:
             train_runs(world, runs, GrpoConfig(steps=5))
 
 
+class TestLevelSchedule:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_invariants(self, data):
+        runs = data.draw(st.integers(0, 6))
+        steps = data.draw(st.integers(0, 12))
+        k = data.draw(st.integers(1, 4))
+        skills = np.array(data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=steps, max_size=steps),
+                                             min_size=runs, max_size=runs)), dtype=np.int64).reshape(runs, steps)
+        lengths = np.array(data.draw(st.lists(st.integers(0, steps), min_size=runs, max_size=runs)),
+                           dtype=np.int64)
+        taken, bounds = grpo._level_schedule(skills, lengths, k)
+        run_at, step_at = np.divmod(taken, steps)
+        assert sorted(zip(run_at.tolist(), step_at.tolist())) == [
+            (r, t) for r in range(runs) for t in range(lengths[r])]  # each exactly once
+        assert bounds[0] == 0 and bounds[-1] == len(taken) and (np.diff(bounds) > 0).all()
+        level_of = {}
+        for level, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+            rows = run_at[start:stop] * k + skills[run_at[start:stop], step_at[start:stop]]
+            assert len(set(rows.tolist())) == len(rows)  # distinct rows within a level
+            for r, t in zip(run_at[start:stop].tolist(), step_at[start:stop].tolist()):
+                level_of[r, t] = level
+        for r in range(runs):
+            for skill in range(k):
+                on_row = [level_of[r, t] for t in range(lengths[r]) if skills[r, t] == skill]
+                assert on_row == list(range(len(on_row)))  # in step order, one per level
+
+    @pytest.mark.parametrize("inner_epochs", [1, 2, 3])
+    def test_two_skill_world_bit_equal(self, inner_epochs):
+        # with k=2 a run revisits its rows almost every step: many short levels
+        spec = WorldSpec(
+            m=2, k=2, A=4, pool_sizes=(80, 80), domain_skills=((0,), (0, 1)),
+            benchmarks=(BenchmarkDef.uniform_over("all", "out", range(2), 2),),
+        )
+        world = make_world(spec, seed=3)
+        config = GrpoConfig(group_size=6, steps=70, inner_epochs=inner_epochs,
+                            clip_epsilon=0.05, peak_learning_rate=0.5)
+        runs = [RunSpec(mix, 60 + i, f"run{i}") for i, mix in enumerate(RUN_MIXTURES)]
+        assert_lockstep_matches_reference(world, config, runs)
+
+    def test_levels_split_into_blocks_bit_equal(self, monkeypatch):
+        world = tiny_world(pool=40)
+        config = GrpoConfig(group_size=6, steps=50, inner_epochs=2)
+        monkeypatch.setattr(grpo, "_BLOCK_ELEMENTS", 3 * config.group_size * world.A)  # 3 rows a block
+        runs = [RunSpec(mix, 70 + i, f"run{i}") for i, mix in enumerate(RUN_MIXTURES)]
+        level_sizes = []
+        original = grpo._level_schedule
+
+        def recording(skills, lengths, k):
+            schedule = original(skills, lengths, k)
+            level_sizes.extend(np.diff(schedule[1]).tolist())
+            return schedule
+
+        monkeypatch.setattr(grpo, "_level_schedule", recording)
+        assert_lockstep_matches_reference(world, config, runs)
+        assert sum(size > 3 for size in level_sizes) > 5  # levels that span several blocks
+
+    def test_zero_steps(self):
+        theta, steps = train_policies(tiny_world(), [RunSpec(mix, i) for i, mix in enumerate(RUN_MIXTURES)],
+                                      GrpoConfig(steps=0))
+        assert not theta.any() and not steps.any()
+
+    def test_run_dry_at_step_zero_beside_full_runs(self, monkeypatch):
+        world = tiny_world(pool=200)
+        config = GrpoConfig(group_size=6, steps=40)
+        runs = [RunSpec(mix, 80 + i, f"run{i}") for i, mix in enumerate(RUN_MIXTURES)]
+        calls = []
+        original = grpo.draw_stream
+
+        def first_run_dry(state, steps):
+            calls.append(state)
+            domains, items = original(state, steps)
+            return (domains[:0], items[:0]) if len(calls) == 1 else (domains, items)
+
+        monkeypatch.setattr(grpo, "draw_stream", first_run_dry)
+        theta, steps = train_policies(world, runs, config)
+        assert steps[0] == 0 and not theta[0].any()
+        for r, run in enumerate(runs[1:], start=1):
+            ref_theta, ref_steps = reference_run(world, run.mixture, config, run.seed)
+            assert steps[r] == ref_steps == 40
+            assert np.array_equal(theta[r], ref_theta)
+
+
 class TestRunStreams:
     @staticmethod
     def draws(stream):

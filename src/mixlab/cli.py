@@ -108,6 +108,13 @@ def _non_negative(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _positive_finite(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
@@ -138,7 +145,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, help="--method alpha only")
     p.add_argument("--alpha-single", type=float, help="--method alpha only")
     p.add_argument("--lambda", dest="lam", type=_positive_finite, help="--method coli only")
-    p.add_argument("--m", type=int, default=None, help="dataset count (default: inferred)")
+    p.add_argument("--m", type=_positive, default=None, help="dataset count (default: inferred)")
 
     fit = sub.add_parser("fit", help="cross-validated response-surface fit on weighted records")
     fit.add_argument("--out", default=None, help="also save the model JSON here")

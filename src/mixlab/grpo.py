@@ -17,9 +17,14 @@ phase together as one array program over the flat logits ``(R*k, A)``.  A
 run's randomness never depends on its policy: the data stream is fixed by
 (mixture, seed, pools) and the action sampler consumes ``group_size``
 uniforms per step, so both are drawn in bulk before the first step (the two
-streams are :func:`run_streams`).  A step then reads and writes one logit
-row, its run's row for its task's skill, so it waits only on the previous
-step of its run on that skill.  The trainer batches steps by that dependency
+streams are :func:`run_streams`).  Runs that share a seed's stream key (the
+verification runs of a phase share one per stream) share those draws, so the
+set-up (:func:`_task_streams`) builds each key's generators, pool
+permutations and uniforms once, and does the mixture-dependent part (domain
+draws, exhaustion cut, task gather) for every run at once as ``(R, steps)``
+arrays.  A step then reads and writes one logit row, its run's row for its
+task's skill, so it waits only on the previous step of its run on that
+skill.  The trainer batches steps by that dependency
 (:func:`_level_schedule`): level ``l`` holds every step that is the ``l``-th
 of its run on its skill, all on distinct rows.  A phase takes as many levels
 as the most steps one run spends on one skill, not as many as a run takes
@@ -48,7 +53,7 @@ from .errors import DimensionMismatch, GroupTooSmall, SupportMismatch
 from .mixtures import MixtureWeights
 from .records import PerformanceRecord
 from .rewards import DEFAULT_WEIGHTS, combined_reward
-from .sampler import draw_stream
+from .sampler import draw_streams
 from .sampler import init as sampler_init
 from .sampler import next_sample  # noqa: F401  (unused; perfbench/tracing.py patches this binding)
 from .world import SyntheticWorld, benchmark_scores
@@ -69,8 +74,10 @@ class GrpoConfig:
             raise ValueError("group_size must be >= 2")
         if not 0.0 < self.clip_epsilon < 1.0:
             raise ValueError("clip_epsilon must lie in (0, 1)")
-        if self.kl_coeff < 0.0:
-            raise ValueError("kl_coeff must be >= 0")
+        if not (math.isfinite(self.kl_coeff) and self.kl_coeff >= 0.0):
+            raise ValueError(f"kl_coeff must be finite and >= 0, got {self.kl_coeff}")
+        if not (math.isfinite(self.peak_learning_rate) and self.peak_learning_rate >= 0.0):
+            raise ValueError(f"peak_learning_rate must be finite and >= 0, got {self.peak_learning_rate}")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -296,6 +303,71 @@ def run_streams(seed: int | np.random.SeedSequence) -> tuple[np.random.SeedSeque
     return tuple(np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key + (i,)) for i in range(2))
 
 
+def _stream_key(seed: int | np.random.SeedSequence) -> tuple:
+    """What :func:`run_streams` reads of a seed: equal keys give equal streams."""
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    entropy = seq.entropy
+    entropy = int(entropy) if np.ndim(entropy) == 0 else tuple(int(word) for word in entropy)
+    return entropy, tuple(seq.spawn_key)
+
+
+def _task_streams(
+    world: SyntheticWorld,
+    runs: Sequence[RunSpec],
+    config: GrpoConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every run's task stream: ``(lengths, skills, golds, action_uniforms, key_of_run)``.
+
+    Runs with one stream key (:func:`_stream_key`) draw the same pool
+    permutations and uniforms, and a run of length ``n`` reads the first
+    ``n`` of them, so the generators and draws are made once per key: its
+    permutations (as each queue slot's skill), its ``steps`` data uniforms
+    and the leading rows of its ``(steps, G)`` action uniforms
+    ``action_uniforms[key]``, as many as its longest run takes.  What
+    depends on the mixture is done for all runs at once as ``(R, steps)``
+    arrays: the domain draw and exhaustion cut (:func:`draw_streams`) and
+    the gather of each step's skill and gold.  Steps at and past a run's
+    length are not part of its stream.
+    """
+    steps, pool_sizes = config.steps, world.spec.pool_sizes
+    key_of_run = np.zeros(len(runs), dtype=np.int64)
+    key_index: dict[tuple, int] = {}
+    key_runs: list[RunSpec] = []  # the first run of each key
+    for r, run in enumerate(runs):
+        stream_key = _stream_key(run.seed)
+        if stream_key not in key_index:
+            key_index[stream_key] = len(key_runs)
+            key_runs.append(run)
+        key_of_run[r] = key_index[stream_key]
+
+    offsets = np.cumsum((0,) + pool_sizes[:-1])
+    item_offsets = np.repeat(offsets, pool_sizes)
+    pooled_skills = np.concatenate(world.pools)
+    skill_queues = np.empty((len(key_runs), sum(pool_sizes)), dtype=np.int64)
+    data_uniforms = np.empty((len(key_runs), steps))
+    action_rngs = []
+    for key, run in enumerate(key_runs):
+        data_stream, action_stream = run_streams(run.seed)
+        state = sampler_init(pool_sizes, run.mixture, seed=data_stream)
+        skill_queues[key] = pooled_skills[np.concatenate(state.queues) + item_offsets]
+        state.rng.random(out=data_uniforms[key])
+        action_rngs.append(np.random.default_rng(action_stream))
+
+    weights = np.array([run.mixture.weights for run in runs], dtype=float).reshape(len(runs), world.m)
+    domains, ranks, lengths = draw_streams(
+        np.cumsum(weights, axis=1), weights, data_uniforms[key_of_run], np.asarray(pool_sizes))
+    slots = np.where(np.arange(steps) < lengths[:, None], offsets[domains] + ranks - 1, 0)
+    skills = skill_queues[key_of_run[:, None], slots]
+
+    # a key's action uniforms cover the steps its longest run takes
+    longest = np.zeros(len(key_runs), dtype=np.int64)
+    np.maximum.at(longest, key_of_run, lengths)
+    action_uniforms = np.zeros((len(key_runs), steps, config.group_size))
+    for key, rng in enumerate(action_rngs):
+        rng.random(out=action_uniforms[key, :longest[key]])
+    return lengths, skills, world.answer_map[skills], action_uniforms, key_of_run
+
+
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     """:func:`softmax` of each row, rounded exactly as the 1-D call rounds it."""
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -369,7 +441,9 @@ def train_policies(
     Deterministic per (world, run, config): run r's data sampler and its
     action sampling draw from the two streams of :func:`run_streams`.
     A run ends at the step budget or the first time a drawn domain's pool is
-    exhausted.  A step's data, uniforms and learning rate are fixed before
+    exhausted.  Every run's tasks and uniforms are set up before training,
+    once per stream key and as arrays over all runs (:func:`_task_streams`).
+    A step's data, uniforms and learning rate are thus fixed before
     training starts, and it reads and writes only its run's logit row for
     its task's skill.  So the steps run level by level
     (:func:`_level_schedule`), each level in blocks of at most
@@ -380,17 +454,7 @@ def train_policies(
         if run.mixture.m != world.m:
             raise DimensionMismatch(f"{run.mixture.m} weights for a world with {world.m} domains")
     steps, group_size = config.steps, config.group_size
-    lengths = np.zeros(len(runs), dtype=np.int64)
-    skills = np.zeros((len(runs), steps), dtype=np.int64)
-    golds = np.zeros_like(skills)
-    uniforms = np.zeros((len(runs), steps, group_size))
-    for r, run in enumerate(runs):
-        data_stream, action_stream = run_streams(run.seed)
-        state = sampler_init(world.spec.pool_sizes, run.mixture, seed=data_stream)
-        domains, items = draw_stream(state, steps)
-        n = lengths[r] = len(domains)
-        skills[r, :n], golds[r, :n] = world.tasks(domains, items)
-        np.random.default_rng(action_stream).random(out=uniforms[r, :n])
+    lengths, skills, golds, uniforms, key_of_run = _task_streams(world, runs, config)
 
     theta = np.zeros((len(runs) * world.k, world.A))
     ref = softmax(np.zeros(world.A))
@@ -406,7 +470,7 @@ def train_policies(
             # rng.choice(A, p=p_old): the count of normalized-CDF entries at or below u
             cdf = p_old.cumsum(axis=1)
             cdf /= cdf[:, -1:]
-            actions = (cdf[:, None, :] <= uniforms[run, step][:, :, None]).sum(axis=2)
+            actions = (cdf[:, None, :] <= uniforms[key_of_run[run], step][:, :, None]).sum(axis=2)
             match = actions == golds[run, step][:, None]
             rewards = DEFAULT_WEIGHTS.accuracy * match + DEFAULT_WEIGHTS.format
             advantages = _advantage_rows(rewards)
@@ -434,10 +498,13 @@ def train_runs(
     runs: Sequence[RunSpec],
     config: GrpoConfig,
 ) -> list[PerformanceRecord]:
-    """Train every run together (:func:`train_policies`); one scored record per run."""
+    """Train every run together (:func:`train_policies`); one scored record per run.
+
+    All final policies are scored by one :func:`benchmark_scores` call on the ``(R, k, A)`` stack.
+    """
     theta, lengths = train_policies(world, runs, config)
     records = []
-    for r, run in enumerate(runs):
+    for r, (run, scores) in enumerate(zip(runs, benchmark_scores(world, theta))):
         labels = run.mixture.dataset_labels()
         record_id = run.record_id
         if record_id is None:
@@ -447,7 +514,7 @@ def train_runs(
             id=record_id,
             datasets=labels,
             weights=run.mixture,
-            scores=benchmark_scores(world, theta[r]),
+            scores=scores,
             step=int(lengths[r]),
         ))
     return records

@@ -117,26 +117,59 @@ def stream(state: SamplerState, max_steps: int | None = None):
         count += 1
 
 
+def draw_streams(
+    cumulative: np.ndarray,
+    weights: np.ndarray,
+    uniforms: np.ndarray,
+    available: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stop-on-exhaustion streams of many mixtures at once: ``(domains, ranks, lengths)``.
+
+    Row ``r`` turns its uniforms ``uniforms[r]`` into domains by the
+    :func:`draw_domains` rule over its mixture's ``cumulative[r]`` and
+    ``weights[r]``: the count of cumulative weights at or below ``u``,
+    capped at the row's last positively weighted domain.  ``ranks[r, t]`` is
+    how many times ``domains[r, t]`` was drawn up to and including step
+    ``t``.  A row stops at its first draw of a domain ``d`` drawn more often
+    than ``available[d]`` items allow, and ``lengths[r]`` counts the steps
+    before that; entries from there on are not part of its stream.  The
+    work loops over the domains, so no ``(rows, steps, m)`` array is built.
+    """
+    m = cumulative.shape[1]
+    last_positive = m - 1 - (weights[:, ::-1] > 0.0).argmax(axis=1)
+    domains = np.zeros(uniforms.shape, dtype=np.int64)
+    for d in range(m):
+        domains += cumulative[:, d, None] <= uniforms
+    np.minimum(domains, last_positive[:, None], out=domains)
+    ranks = np.zeros_like(domains)
+    dry = np.zeros(uniforms.shape, dtype=bool)
+    for d in range(m):
+        hits = domains == d
+        count = np.cumsum(hits, axis=1)
+        np.copyto(ranks, count, where=hits)
+        dry |= hits & (count > available[d])
+    lengths = (~np.logical_or.accumulate(dry, axis=1)).sum(axis=1)
+    return domains, ranks, lengths
+
+
 def draw_stream(state: SamplerState, max_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Up to ``max_steps`` samples at once, as (domains, items) index arrays.
 
     Gives the sequence :func:`next_sample` would, stop on exhaustion
-    included, from one bulk draw of ``max_steps`` uniforms.  The bulk draw
-    runs the generator past the stop, so the state is left finished.
+    included, from one bulk draw of ``max_steps`` uniforms
+    (:func:`draw_streams` with one row).  The bulk draw runs the generator
+    past the stop, so the state is left finished.
     """
     if state.renormalize:
         raise ValueError("draw_stream follows the stop-on-exhaustion rule only")
     if state.finished:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     m = len(state.queues)
-    domains = draw_domains(state.cumulative, state._active, state.rng.random(max_steps))
-    # rank[t]: how many times domains[t] was drawn up to and including step t
-    hits = domains[:, None] == np.arange(m)
-    rank = np.cumsum(hits, axis=0)[np.arange(max_steps), domains]
     remaining = np.array([state.remaining(d) for d in range(m)])
-    dry = np.flatnonzero(rank > remaining[domains])
-    length = int(dry[0]) if dry.size else max_steps
-    domains, rank = domains[:length], rank[:length]
+    domains, ranks, lengths = draw_streams(
+        state.cumulative[None], state._active[None], state.rng.random(max_steps)[None], remaining)
+    length = int(lengths[0])
+    domains, rank = domains[0, :length], ranks[0, :length]
     items = np.empty(length, dtype=np.int64)
     for d in range(m):
         taken = domains == d

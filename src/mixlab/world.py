@@ -120,14 +120,6 @@ class SyntheticWorld:
         skill = int(self.pools[domain][item])
         return skill, int(self.answer_map[skill])
 
-    def tasks(self, domains: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(skills, gold answers) of many pooled tasks, one per (domain, item) pair."""
-        skills = np.zeros(len(domains), dtype=np.int64)
-        for d, pool in enumerate(self.pools):
-            taken = domains == d
-            skills[taken] = pool[items[taken]]
-        return skills, self.answer_map[skills]
-
 
 def _window_supports(m: int, trainable: int, overlap: float) -> list[list[int]]:
     """Evenly spaced skill windows; width stretches with the overlap fraction."""
@@ -182,15 +174,19 @@ def make_world(spec: WorldSpec, seed: int) -> SyntheticWorld:
     )
 
 
-def benchmark_scores(world: SyntheticWorld, theta: np.ndarray) -> dict[str, float]:
-    """Exact argmax accuracy of a policy matrix on every benchmark."""
-    if theta.shape != (world.k, world.A):
+def benchmark_scores(world: SyntheticWorld, theta: np.ndarray) -> dict[str, float] | list[dict[str, float]]:
+    """Exact argmax accuracy of a policy matrix on every benchmark.
+
+    ``theta`` is one policy ``(k, A)``, scored as one dict, or a stack of
+    policies ``(R, k, A)``, scored as a list of R dicts from one argmax over
+    the stack.  Each policy's scores are one ``np.dot`` per benchmark.
+    """
+    if theta.ndim not in (2, 3) or theta.shape[-2:] != (world.k, world.A):
         raise InvalidSpec(f"policy shape {theta.shape} does not match world ({world.k}, {world.A})")
-    correct = (theta.argmax(axis=1) == world.answer_map).astype(float)
-    return {
-        bench.name: float(np.dot(bench.skill_weights, correct))
-        for bench in world.benchmarks
-    }
+    correct = (theta.argmax(axis=-1) == world.answer_map).astype(float)
+    weights = [(bench.name, np.asarray(bench.skill_weights)) for bench in world.benchmarks]
+    scores = [{name: float(np.dot(w, row)) for name, w in weights} for row in correct.reshape(-1, world.k)]
+    return scores if theta.ndim == 3 else scores[0]
 
 
 def _tuples(value):

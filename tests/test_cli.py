@@ -366,6 +366,16 @@ class TestPipelineCommand:
     (["simulate", "--world", "{world}", "--weights", "{mixture}", "--world-seed", "-1", "--out", "{out}"],
      {}, "--world-seed"),
     (["fit", "--records", "{records}", "--degree", "3"], {}, "degree must be 1 or 2"),
+    # non-finite or negative training rates
+    (["simulate", "--world", "{world}", "--weights", "{mixture}", "--peak-lr", "nan", "--out", "{out}"],
+     {}, "peak_learning_rate"),
+    (["simulate", "--world", "{world}", "--weights", "{mixture}", "--peak-lr", "-0.1", "--out", "{out}"],
+     {}, "peak_learning_rate"),
+    (["simulate", "--world", "{world}", "--weights", "{mixture}", "--kl-coeff", "inf", "--out", "{out}"],
+     {}, "kl_coeff"),
+    # a dataset count below one
+    (["heuristic", "--method", "norm", "--records", "{records}", "--m", "-2"], {}, "--m"),
+    (["heuristic", "--method", "alpha", "--records", "{records}", "--m", "0"], {}, "--m"),
     # unknown keys, at the top level, in the world and in a benchmark entry
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"verify_seed": 10}, "verify_seed"),
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"world_spec": PIPELINE_WORLD}, "world_spec"),

@@ -525,21 +525,112 @@ class TestLevelSchedule:
         world = tiny_world(pool=200)
         config = GrpoConfig(group_size=6, steps=40)
         runs = [RunSpec(mix, 80 + i, f"run{i}") for i, mix in enumerate(RUN_MIXTURES)]
-        calls = []
-        original = grpo.draw_stream
+        original = grpo.draw_streams
 
-        def first_run_dry(state, steps):
-            calls.append(state)
-            domains, items = original(state, steps)
-            return (domains[:0], items[:0]) if len(calls) == 1 else (domains, items)
+        def first_run_dry(cumulative, weights, uniforms, available):
+            domains, ranks, lengths = original(cumulative, weights, uniforms, available)
+            lengths[0] = 0  # row 0 is the first run
+            return domains, ranks, lengths
 
-        monkeypatch.setattr(grpo, "draw_stream", first_run_dry)
+        monkeypatch.setattr(grpo, "draw_streams", first_run_dry)
         theta, steps = train_policies(world, runs, config)
         assert steps[0] == 0 and not theta[0].any()
         for r, run in enumerate(runs[1:], start=1):
             ref_theta, ref_steps = reference_run(world, run.mixture, config, run.seed)
             assert steps[r] == ref_steps == 40
             assert np.array_equal(theta[r], ref_theta)
+
+
+def per_run_streams(world, run, config):
+    """One run's stream the per-run way: (length, skills, golds, action uniforms of the taken steps)."""
+    data_stream, action_stream = run_streams(run.seed)
+    state = sampler_init(world.spec.pool_sizes, run.mixture, seed=data_stream)
+    tasks = []
+    while len(tasks) < config.steps:
+        drawn = next_sample(state)
+        if drawn is None:
+            break
+        tasks.append(world.task(*drawn))
+    n = len(tasks)
+    uniforms = np.zeros((config.steps, config.group_size))
+    np.random.default_rng(action_stream).random(out=uniforms[:n])
+    skills, golds = (np.array([task[i] for task in tasks], dtype=np.int64) for i in range(2))
+    return n, skills, golds, uniforms[:n]
+
+
+@st.composite
+def stream_runs(draw):
+    """A small world, a config and runs over it; runs often share a stream key."""
+    m = draw(st.integers(1, 5))
+    spec = WorldSpec(m=m, k=m + draw(st.integers(0, 3)), A=draw(st.integers(2, 4)),
+                     pool_sizes=tuple(draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))))
+    world = make_world(spec, seed=draw(st.integers(0, 3)))
+    config = GrpoConfig(group_size=draw(st.integers(2, 4)), steps=draw(st.integers(0, 30)))
+    seeds = st.one_of(
+        st.integers(0, 3),
+        st.builds(np.random.SeedSequence, st.integers(0, 3)),  # SeedSequence(s) shares int s's key
+        st.builds(lambda entropy, v: np.random.SeedSequence(entropy, spawn_key=(1, v)),
+                  st.integers(0, 2), st.integers(0, 2)),
+    )
+    runs = []
+    for _ in range(draw(st.integers(0, 6))):
+        weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 3.0]),
+                                         min_size=m, max_size=m)))
+        if weights.sum() == 0.0:
+            weights[draw(st.integers(0, m - 1))] = 1.0
+        runs.append(RunSpec(MixtureWeights(tuple(weights / weights.sum())), draw(seeds)))
+    return world, config, runs
+
+
+class TestTaskStreams:
+    @given(stream_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_run_path(self, case):
+        world, config, runs = case
+        lengths, skills, golds, uniforms, key_of_run = grpo._task_streams(world, runs, config)
+        assert lengths.shape == key_of_run.shape == (len(runs),)
+        assert skills.shape == golds.shape == (len(runs), config.steps)
+        for r, run in enumerate(runs):
+            n, want_skills, want_golds, want_uniforms = per_run_streams(world, run, config)
+            assert lengths[r] == n
+            assert np.array_equal(skills[r, :n], want_skills)
+            assert np.array_equal(golds[r, :n], want_golds)
+            assert np.array_equal(uniforms[key_of_run[r], :n], want_uniforms)
+
+
+class TestStreamSharing:
+    """What sharing one key's draws between runs rests on."""
+
+    @pytest.mark.parametrize("n", [0, 1, 17, 240])
+    def test_random_n_is_a_prefix_of_random_N(self, n):
+        assert np.array_equal(np.random.default_rng(7).random(n), np.random.default_rng(7).random(240)[:n])
+
+    @pytest.mark.parametrize("n", [0, 1, 17, 240])
+    def test_filling_leading_rows_is_a_prefix_of_the_full_draw(self, n):
+        full = np.random.default_rng(8).random((240, 6))
+        rows = np.zeros((240, 6))
+        np.random.default_rng(8).random(out=rows[:n])
+        assert np.array_equal(rows[:n], full[:n])
+
+    def test_verify_phase_inits_one_sampler_per_stream(self, monkeypatch):
+        from mixlab.pipeline import PipelineConfig, plan_phase
+
+        world = tiny_world(pool=60)
+        verify_seeds, k = 3, 4
+        config = PipelineConfig(world_spec=world.spec, train=GrpoConfig(steps=30), verify_seeds=verify_seeds)
+        mixtures = [(str(c), mix) for c, mix in enumerate(RUN_MIXTURES[:k])] + [("uniform", RUN_MIXTURES[2])]
+        plan = plan_phase(config, "verify", mixtures)
+        calls = []
+        original = grpo.sampler_init
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["seed"].spawn_key)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(grpo, "sampler_init", counting)
+        records = train_runs(world, plan.runs, plan.train)
+        assert len(records) == (k + 1) * verify_seeds
+        assert sorted(calls) == [(1, v, 0) for v in range(verify_seeds)]
 
 
 class TestRunStreams:
@@ -581,5 +672,12 @@ def test_config_validation():
         GrpoConfig(clip_epsilon=1.0)
     with pytest.raises(ValueError):
         GrpoConfig(kl_coeff=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="kl_coeff"):
+            GrpoConfig(kl_coeff=bad)
+    for bad in (math.nan, math.inf, -math.inf, -0.1):
+        with pytest.raises(ValueError, match="peak_learning_rate"):
+            GrpoConfig(peak_learning_rate=bad)
+    assert GrpoConfig(peak_learning_rate=0.0, kl_coeff=0.0).peak_learning_rate == 0.0
     with pytest.raises(ValueError):
         GrpoConfig(steps=-1)

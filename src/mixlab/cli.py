@@ -95,7 +95,12 @@ def _config(cls, args, **resolved):
 
 def _read_config(path: str, from_dict):
     """``from_dict`` of the JSON object in a config file."""
-    obj = _from_options(json.loads, Path(path).read_text())  # json.JSONDecodeError is a ValueError
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and json.JSONDecodeError both are
+        raise UsageError(str(exc)) from exc
+    except RecursionError as exc:
+        raise UsageError(f"{path} nests JSON too deeply") from exc
     if not isinstance(obj, dict):
         raise UsageError(f"{path} does not hold a JSON object")
     return _from_options(from_dict, obj)

@@ -18,27 +18,36 @@ _hints = cache(typing.get_type_hints)
 
 def is_int(value) -> bool:
     """An integer, numpy's included, but not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
-def _conforms(value, hint) -> bool:
+def _is_real(value) -> bool:
+    """A real number, an int included, but not a bool."""
+    return isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+@cache
+def _conforms(hint) -> typing.Callable[[object], bool]:
+    """The check that a value matches ``hint``, resolved once per hint."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
-        return any(_conforms(value, arg) for arg in args)
+        checks = [_conforms(arg) for arg in args]
+        return lambda value: any(check(value) for check in checks)
     if origin is tuple:  # configs only use the variadic form tuple[X, ...]
-        return isinstance(value, tuple) and all(_conforms(v, args[0]) for v in value)
+        element = _conforms(args[0])
+        return lambda value: isinstance(value, tuple) and all(map(element, value))
     if hint is int:
-        return is_int(value)
+        return is_int
     if hint is float:  # an int is a float, a bool is not
-        return isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return isinstance(value, hint)
+        return _is_real
+    return lambda value: isinstance(value, hint)
 
 
 def check_types(config) -> None:
     """Raise TypeError naming the first field whose value does not match its annotation."""
     for name, hint in _hints(type(config)).items():
         value = getattr(config, name)
-        if not _conforms(value, hint):
+        if not _conforms(hint)(value):
             raise TypeError(f"{name} must be {hint.__name__ if type(hint) is type else hint}, got {value!r}")
 
 

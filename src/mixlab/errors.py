@@ -4,6 +4,8 @@ Every domain-level failure raises a subclass of :class:`MixLabError`, so
 callers (and the CLI) can distinguish data problems from programming bugs.
 """
 
+from __future__ import annotations
+
 
 class MixLabError(Exception):
     """Base class for all toolkit errors."""
@@ -39,6 +41,11 @@ class MalformedLine(MixLabError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+
+    @classmethod
+    def not_utf8(cls, exc: UnicodeDecodeError) -> MalformedLine:
+        """The error for a file whose bytes, ``exc.object``, are not UTF-8: at the first bad byte's line."""
+        return cls(exc.object.count(b"\n", 0, exc.start) + 1, "not UTF-8 text")
 
 
 class ScoreOutOfRange(MixLabError):

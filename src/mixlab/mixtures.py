@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateCatalog, IndexOutOfRange, NegativeEntry, NotNormalized
+from .errors import DegenerateCatalog, IndexOutOfRange, MalformedLine, NegativeEntry, NotNormalized
 
 # Sum-to-one tolerance: tight enough to catch logic errors, loose enough for
 # accumulated rounding when weights come from exact fractions or normalization.
@@ -30,6 +30,16 @@ class MixtureWeights:
     def __post_init__(self):
         # plain Python floats so weights serialize and hash uniformly
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+
+    @classmethod
+    def trusted(cls, weights: tuple[float, ...]) -> MixtureWeights:
+        """Wrap a tuple of plain floats that the caller has already checked lies on the simplex.
+
+        Skips the conversion ``__post_init__`` does; :func:`validate` is the checked way in.
+        """
+        mixture = object.__new__(cls)
+        object.__setattr__(mixture, "weights", weights)
+        return mixture
 
     @property
     def m(self) -> int:
@@ -146,7 +156,10 @@ def write_mixture_file(mixture: MixtureWeights, path: str | Path) -> None:
 
 
 def read_mixture_file(path: str | Path) -> MixtureWeights:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedLine.not_utf8(exc) from exc
     for line in text.splitlines():
         if line.strip():
             return parse_mixture(line)

@@ -6,6 +6,19 @@ A record captures one pilot training run: which datasets participated (as
 is calibrated against; its seed rows carry uniform weights over their
 digit-coded participating sets, while heuristic- and model-derived rows keep
 ``weights = null`` because their mixtures were never published.
+
+Record files are read one line at a time, each line in one of two ways.  The
+fast path (``_fast_record``) decodes the line with one bound JSON scanner and
+accepts only the common shape, with exact-type checks: exactly the schema's
+four or five keys, a str id, int labels >= 1 in increasing order, int or
+float scores in [0, 1] under known names, float weights in [0, 1] whose
+``math.fsum`` is within ``SIMPLEX_ATOL`` of 1 and whose nonzero labels are
+the datasets.  It builds the record from those checked values and never
+raises.  Any line it is not sure of goes, as it is, to the per-line parser
+(``_parse_record_line``), which returns the identical record or raises the
+error it always raised, with the same line number.  So a file reads the
+same, messages and exit codes included, whichever path each line takes; the
+file is streamed once, and no line is joined to another.
 """
 
 from __future__ import annotations
@@ -25,10 +38,9 @@ from .errors import (
     ScoreOutOfRange,
     UnknownBenchmark,
 )
-from .mixtures import MixtureWeights, validate
+from .mixtures import SIMPLEX_ATOL, MixtureWeights, validate
 
 GROUPS = ("in", "out")
-_WEIGHT_TYPES = frozenset({int, float})
 
 
 @dataclass(frozen=True)
@@ -98,28 +110,107 @@ def summarize(record: PerformanceRecord, suite: Sequence[BenchmarkSpec]) -> Scor
 #    "scores": {benchmark: float}, "step": int|null}
 # Dataset entries are 1-based labels; label i maps to weight position i - 1.
 
+_KEYS = frozenset(("id", "datasets", "weights", "scores"))
+_KEYS_WITH_STEP = _KEYS | {"step"}
+_INT, _FLOAT, _NUMBER = frozenset({int}), frozenset({float}), frozenset({int, float})
+_scan_once = json.JSONDecoder().scan_once
+
+
+def scan_line(line: str):
+    """The JSON value a line starts with, when nothing but one ``"\\n"`` follows it; else None.
+
+    The fast way to decode a JSONL line, with one bound scanner.  Never
+    raises: invalid JSON, a value nested too deeply, and leading or other
+    trailing whitespace are all None (as is ``null``), left for
+    :func:`decode_line`.
+    """
+    try:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, TypeError, RecursionError):  # JSONDecodeError is a ValueError
+        return None
+    return value if end == len(line) or line[end:] == "\n" else None
+
+
+def decode_line(line: str, line_number: int):
+    """The JSON value on one line of a JSONL file; MalformedLine at ``line_number`` if it holds none."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedLine(line_number, f"invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise MalformedLine(line_number, "invalid JSON: nested too deeply") from exc
+
+
 def parse_records(
     lines: Iterable[str],
     suite: Sequence[BenchmarkSpec] | None = None,
 ) -> list[PerformanceRecord]:
     """Parse JSONL record lines, preserving order; blank lines are skipped.
 
-    When ``suite`` is given, score keys must name benchmarks from it.
+    When ``suite`` is given, score keys must name benchmarks from it.  A line
+    holding a character that UTF-8 cannot encode (a byte that was not UTF-8,
+    under ``errors="surrogateescape"``) is a MalformedLine.
     """
     known = {b.name for b in suite} if suite is not None else None
     out: list[PerformanceRecord] = []
     for line_number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        out.append(_parse_record_line(line, line_number, known))
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise MalformedLine(line_number, "not UTF-8 text") from exc
+        record = _fast_record(line, known)
+        if record is None:
+            if not line.strip():
+                continue
+            record = _parse_record_line(line, line_number, known)
+        out.append(record)
     return out
 
 
+def _fast_record(line: str, known: set[str] | None) -> PerformanceRecord | None:
+    """The record on a line of the common shape (see the module docstring); None for any other line.
+
+    Exact types stand in for the per-line parser's isinstance checks, since
+    JSON decodes to no subclasses.  A weight above 1 within the tolerance, an
+    int weight or unsorted labels are valid but left to that parser.
+    """
+    obj = scan_line(line)
+    if type(obj) is not dict or (obj.keys() != _KEYS_WITH_STEP and obj.keys() != _KEYS):
+        return None
+    rid, datasets, weights, scores, step = (
+        obj["id"], obj["datasets"], obj["weights"], obj["scores"], obj.get("step"))
+    if (type(rid) is not str or type(datasets) is not list or type(scores) is not dict
+            or (step is not None and type(step) is not int)
+            or (datasets and set(map(type, datasets)) != _INT)):
+        return None
+
+    values = scores.values()
+    value_types = set(map(type, values))
+    if (not value_types <= _NUMBER or not all(0.0 <= v <= 1.0 for v in values)  # False for NaN
+            or (known is not None and not scores.keys() <= known)):
+        return None
+    if int in value_types:
+        scores = {name: float(value) for name, value in scores.items()}
+
+    if weights is None:
+        if datasets and (datasets[0] < 1 or datasets != sorted(set(datasets))):
+            return None
+        mixture = None
+    else:
+        # in [0, 1], so finite and summed without overflow; the labels of the
+        # nonzero weights are ints >= 1 in increasing order, so equal datasets are too
+        if (type(weights) is not list or not weights or set(map(type, weights)) != _FLOAT
+                or not all(0.0 <= w <= 1.0 for w in weights)
+                or abs(math.fsum(weights) - 1.0) > SIMPLEX_ATOL
+                or [label for label, w in enumerate(weights, start=1) if w] != datasets):
+            return None
+        mixture = MixtureWeights.trusted(tuple(weights))
+    return PerformanceRecord(id=rid, datasets=tuple(datasets), weights=mixture, scores=scores, step=step)
+
+
 def _parse_record_line(line: str, line_number: int, known: set[str] | None) -> PerformanceRecord:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedLine(line_number, f"invalid JSON: {exc.msg}") from exc
+    obj = decode_line(line, line_number)
     if not isinstance(obj, dict):
         raise MalformedLine(line_number, "record must be a JSON object")
 
@@ -157,7 +248,7 @@ def _parse_record_line(line: str, line_number: int, known: set[str] | None) -> P
     weights = None
     if raw_weights is not None:
         # exact types: json.loads yields no subclasses, and bool is not a weight
-        if not isinstance(raw_weights, list) or not set(map(type, raw_weights)) <= _WEIGHT_TYPES:
+        if not isinstance(raw_weights, list) or not set(map(type, raw_weights)) <= _NUMBER:
             raise MalformedLine(line_number, "weights must be a list of numbers or null")
         try:
             weights = validate(raw_weights)
@@ -192,7 +283,9 @@ def write_records(records: Sequence[PerformanceRecord], path: str | Path) -> Non
 
 
 def read_records(path: str | Path, suite: Sequence[BenchmarkSpec] | None = None) -> list[PerformanceRecord]:
-    with open(path) as fh:
+    # a byte that is not UTF-8 reaches parse_records as a lone surrogate on its own line,
+    # so the error names that line, and faults on earlier lines still come first
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return parse_records(fh, suite=suite)
 
 
@@ -216,15 +309,19 @@ def parse_suite(obj: object) -> list[BenchmarkSpec]:
 
 def read_suite(path: str | Path) -> list[BenchmarkSpec]:
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise MalformedLine.not_utf8(exc) from exc
     except json.JSONDecodeError as exc:
         raise MalformedLine(exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise MalformedLine(1, "invalid JSON: nested too deeply") from exc
     return parse_suite(obj)
 
 
 def bundled_suite() -> list[BenchmarkSpec]:
     """The benchmark suite the bundled fixture was scored on."""
-    text = (resources.files("mixlab") / "data" / "benchmarks.json").read_text()
+    text = (resources.files("mixlab") / "data" / "benchmarks.json").read_text(encoding="utf-8")
     return parse_suite(json.loads(text))
 
 
@@ -232,7 +329,7 @@ def bundled_suite() -> list[BenchmarkSpec]:
 
 def table2_fixture() -> list[PerformanceRecord]:
     """All 42 rows of the bundled results table, in publication order."""
-    text = (resources.files("mixlab") / "data" / "table2.jsonl").read_text()
+    text = (resources.files("mixlab") / "data" / "table2.jsonl").read_text(encoding="utf-8")
     return parse_records(text.splitlines(), suite=bundled_suite())
 
 
@@ -243,7 +340,7 @@ def table2_printed_summary() -> dict[str, ScoreSummary]:
     inputs were published rounded to four decimals, so agreement is expected
     within about 1e-3.
     """
-    text = (resources.files("mixlab") / "data" / "table2_summary.json").read_text()
+    text = (resources.files("mixlab") / "data" / "table2_summary.json").read_text(encoding="utf-8")
     raw = json.loads(text)
     return {rid: ScoreSummary(in_score=v[0], out_score=v[1]) for rid, v in raw.items()}
 

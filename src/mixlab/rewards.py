@@ -9,7 +9,6 @@ If extraction fails, format, accuracy, and IoU are all zero.
 from __future__ import annotations
 
 import ast
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ from typing import Iterable, Sequence
 
 from .config import check_types
 from .errors import InvalidBox, InvalidPair, MalformedLine
+from .records import decode_line, scan_line
 
 TAG_PATTERN = re.compile(r"<think>(.*?)</think>\s*<answer>(.*?)</answer>", re.DOTALL)
 
@@ -247,10 +247,9 @@ def score_pairs(lines: Iterable[str], weights: RewardWeights = DEFAULT_WEIGHTS) 
     for line_number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedLine(line_number, f"invalid JSON: {exc.msg}") from exc
+        obj = scan_line(line)
+        if obj is None:
+            obj = decode_line(line, line_number)
         if not isinstance(obj, dict) or not {"prediction", "gold", "mode"} <= obj.keys():
             raise MalformedLine(line_number, "expected {prediction, gold, mode}")
         mode = obj["mode"]

@@ -133,7 +133,7 @@ class SurrogateModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "SurrogateModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def model_from_coefficients(beta: np.ndarray, m: int, degree: int) -> SurrogateModel:

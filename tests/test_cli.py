@@ -420,6 +420,43 @@ def test_bad_option_is_usage_error(capsys, tmp_path, fixture_file, world_file, m
     assert stdout == "" and not out.exists()
 
 
+GOOD_RECORD = b'{"id": "r", "datasets": [1], "weights": [1.0], "scores": {}}\n'
+DEEP = b"[" * 200_000
+
+
+@pytest.mark.parametrize("argv, content, exit_code, message", [
+    # records: a data error at the line holding the first bad byte, unless an earlier line fails first
+    (["aggregate", "--records", "{bad}"], b"\xff" + GOOD_RECORD, 2, "error: line 1: not UTF-8 text"),
+    (["aggregate", "--records", "{bad}"], GOOD_RECORD * 300 + b'{"id": "\xe9"}\n' + GOOD_RECORD, 2,
+     "error: line 301: not UTF-8 text"),  # past the first block the file is read in
+    (["fit", "--records", "{bad}"], b"{oops\n" + b"\xff\n", 2, "error: line 1: invalid JSON"),
+    (["propose", "--records", "{bad}"], GOOD_RECORD + b"\n" + DEEP, 2,
+     "error: line 3: invalid JSON: nested too deeply"),
+    # suite and mixture files: data errors
+    (["aggregate", "--records", "{records}", "--suite", "{bad}"], b"[\n\xff]", 2, "error: line 2: not UTF-8 text"),
+    (["aggregate", "--records", "{records}", "--suite", "{bad}"], DEEP, 2,
+     "error: line 1: invalid JSON: nested too deeply"),
+    (["sample", "--weights", "{bad}", "--pools", "5,5"], b"\xff0.5,0.5\n", 2, "error: line 1: not UTF-8 text"),
+    # config and world files: usage errors
+    (["pipeline", "--config", "{bad}", "--out-dir", "{out}"], b"\xff{}", 1,
+     "usage error: 'utf-8' codec can't decode byte 0xff"),
+    (["pipeline", "--config", "{bad}", "--out-dir", "{out}"], DEEP, 1, "nests JSON too deeply"),
+    (["simulate", "--world", "{bad}", "--weights", "{mixture}", "--out", "{out}"], b"{}\xff", 1,
+     "usage error: 'utf-8' codec can't decode byte 0xff"),
+], ids=["records-first-byte", "records-mid-line", "records-earlier-fault-first", "records-deep",
+        "suite-bad-byte", "suite-deep", "mixture-bad-byte", "config-bad-byte", "config-deep", "world-bad-byte"])
+def test_undecodable_or_deeply_nested_file(capsys, tmp_path, fixture_file, mixture_file,
+                                           argv, content, exit_code, message):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    paths = {"bad": bad, "records": fixture_file, "mixture": mixture_file, "out": out}
+    code, stdout, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, stdout) == (exit_code, "")
+    assert message in err
+    assert not out.exists()
+
+
 def test_console_script_installed():
     result = subprocess.run([sys.executable, "-m", "mixlab.cli"],
                             capture_output=True, text=True)

@@ -1,19 +1,27 @@
 import itertools
+import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixlab.errors import (
     EmptyGroup,
     MalformedLine,
     MissingBenchmark,
+    MixLabError,
     ScoreOutOfRange,
     UnknownBenchmark,
 )
+from mixlab.mixtures import SIMPLEX_ATOL
 from mixlab.records import (
     BenchmarkSpec,
+    _fast_record,
+    _parse_record_line,
     bundled_suite,
     by_id,
     parse_records,
+    read_records,
     serialize_record,
     summarize,
     table2_fixture,
@@ -184,3 +192,181 @@ def test_summary_within_group_range(suite):
     summary = summarize(record, suite)
     in_scores = [record.scores[b.name] for b in suite if b.group == "in"]
     assert min(in_scores) <= summary.in_score <= max(in_scores)
+
+
+class TestReadRecords:
+    def test_utf8_file_with_crlf_and_non_ascii_ids(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        lines = [json.dumps({"id": rid, "datasets": [2], "weights": [0.0, 1.0], "scores": {"b": 0.5}},
+                            ensure_ascii=False) for rid in ("caf\u00e9", "\u5b9f\u9a13", "plain")]
+        path.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n\r\n")
+        records = read_records(path)
+        assert [r.id for r in records] == ["caf\u00e9", "\u5b9f\u9a13", "plain"]
+        assert records == parse_records(lines)
+
+
+# --- fast path against the per-line parser -----------------------------------
+# Every line goes through records._fast_record, and through the per-line parser
+# when the fast path returns None: the two must together behave exactly as the
+# per-line parser alone, on clean lines and on every defect below.
+
+DIFF_SUITE = [BenchmarkSpec("in-a", 3, "in"), BenchmarkSpec("in-b", 2, "in"), BenchmarkSpec("out-a", 5, "out")]
+DIFF_NAMES = [b.name for b in DIFF_SUITE]
+RECORD_KEYS = ("id", "datasets", "weights", "scores", "step")
+WEIGHT_DEFECTS = ("int weights", "non-finite weight", "negative zero weights", "sum off by the tolerance",
+                  "huge int", "negative weight")
+OBJECT_DEFECTS = WEIGHT_DEFECTS + (
+    "unsorted labels", "repeated label", "bool label", "label below 1", "bool step", "float step",
+    "extra key", "missing key", "NaN score", "wrong type", "score out of range",
+    "unknown benchmark", "support mismatch", "weight above 1", "not an object",
+)
+LAYOUTS = ("plain", "crlf", "padded", "blank line before", "two objects", "spliced", "truncated",
+           "trailing text", "deeply nested", "byte order mark", "no final newline")
+
+SCORES = st.floats(0.0, 1.0) | st.sampled_from([0, 1])
+WRONG_TYPED = st.sampled_from(["1", 1, 0.5, True, None, [], {}, [1.0, "x"], [None], [[1.0]], [False, True],
+                               {"in-a": "0.5"}])
+BLANK_LINES = st.sampled_from(["\n", "   \n", "\r\n", "\t\n"])
+DEEP_LINE = "[" * 100_000 + "\n"
+
+
+@st.composite
+def record_objects(draw, weighted=st.booleans()):
+    """A well-formed record: a simplex vector and its labels, or null weights and sorted labels."""
+    m = draw(st.integers(1, 6))
+    if draw(weighted):
+        support = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
+        mass = draw(st.lists(st.integers(1, 1000), min_size=len(support), max_size=len(support)))
+        weights = [0.0] * m
+        for position, share in zip(support, mass):
+            weights[position] = share / sum(mass)
+        datasets = [position + 1 for position in support]
+    else:
+        weights, datasets = None, sorted(draw(st.sets(st.integers(1, 9))))
+    scores = {name: draw(SCORES) for name in DIFF_NAMES if draw(st.booleans())}
+    obj = {"id": draw(st.text(max_size=4)), "datasets": datasets, "weights": weights, "scores": scores}
+    step = draw(st.sampled_from([None, 0, 240, "absent"]))
+    if step != "absent":
+        obj["step"] = step
+    return obj
+
+
+@st.composite
+def record_values(draw, kind):
+    """A record object with the defect ``kind`` from OBJECT_DEFECTS, or a clean one."""
+    obj = draw(record_objects(st.just(True)) if kind in WEIGHT_DEFECTS else record_objects())
+    weights, datasets, scores = obj["weights"], obj["datasets"], obj["scores"]
+    position = draw(st.integers(0, len(weights) - 1)) if weights else None
+    name = draw(st.sampled_from(DIFF_NAMES))
+    if kind == "int weights":
+        obj["weights"] = [int(w) if w.is_integer() else w for w in weights]
+    elif kind == "non-finite weight":
+        weights[position] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "negative zero weights":
+        obj["weights"] = [-0.0 if w == 0.0 else w for w in weights]
+    elif kind == "sum off by the tolerance":
+        weights[weights.index(max(weights))] += draw(st.sampled_from([-2.0, -1.5, -0.5, 0.5, 1.5, 2.0])) * SIMPLEX_ATOL
+    elif kind == "huge int":
+        if draw(st.booleans()):
+            weights[position] = 10**400
+        else:
+            scores[name] = 10**400
+    elif kind == "negative weight":
+        weights[position] = -weights[position] or -0.5
+    elif kind == "unsorted labels":
+        obj["datasets"] = datasets[::-1]
+    elif kind == "repeated label":
+        obj["datasets"] = datasets + (datasets[-1:] or [1, 1])
+    elif kind == "bool label":
+        obj["datasets"] = [True if d == 1 else d for d in datasets] or [True]
+    elif kind == "label below 1":
+        obj["datasets"] = [draw(st.sampled_from([0, -1]))] + datasets
+    elif kind in ("bool step", "float step"):
+        obj["step"] = draw(st.booleans()) if kind == "bool step" else 3.0
+    elif kind == "extra key":
+        obj["note"] = None
+    elif kind == "missing key":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif kind == "NaN score":  # after another score, where a min/max range check would miss it
+        scores.pop(name, None)
+        scores.setdefault(DIFF_NAMES[DIFF_NAMES.index(name) - 1], 0.5)
+        obj["scores"] = {**scores, name: math.nan}
+    elif kind == "wrong type":
+        obj[draw(st.sampled_from(RECORD_KEYS))] = draw(WRONG_TYPED)
+    elif kind == "score out of range":
+        scores[name] = draw(st.sampled_from([-0.1, 1.5, -1, 2, math.inf, -math.inf]))
+    elif kind == "unknown benchmark":
+        scores["Nope"] = 0.5
+    elif kind == "support mismatch":
+        obj["datasets"] = datasets[1:] if len(datasets) > 1 else datasets + [9]
+    elif kind == "weight above 1":
+        obj["weights"], obj["datasets"] = [1.0 + draw(st.sampled_from([0.5, 1.0, 2.0])) * SIMPLEX_ATOL], [1]
+    elif kind == "not an object":
+        return draw(st.sampled_from([[obj], "x", 1, None]))
+    return obj
+
+
+@st.composite
+def laid_out(draw, value, layouts=st.sampled_from(LAYOUTS)):
+    """The lines a text file yields for one record value, in a layout drawn from ``layouts``."""
+    text = json.dumps(value, ensure_ascii=draw(st.booleans()))
+    layout = draw(layouts)
+    if layout in ("spliced", "truncated"):
+        cut = draw(st.integers(0, len(text)))
+        return [text[:cut] + "\n", text[cut:] + "\n"] if layout == "spliced" else [text[:cut] + "\n"]
+    if layout == "padded":
+        return [draw(st.sampled_from([" ", "\t", "\r"])) + text + " \n"]
+    if layout == "two objects":
+        return [text + draw(st.sampled_from(["", " "])) + text + "\n"]
+    if layout == "blank line before":
+        return [draw(BLANK_LINES), text + "\n"]
+    return [{"crlf": text + "\r\n", "trailing text": text + " x\n", "deeply nested": DEEP_LINE,
+             "byte order mark": "\ufeff" + text + "\n", "no final newline": text}.get(layout, text + "\n")]
+
+
+PLAIN = st.sampled_from(["plain", "no final newline"])
+# one line with a defect: in the record, laid out plainly, or in the layout of a clean record
+DEFECTIVE_LINES = st.one_of(
+    st.sampled_from(OBJECT_DEFECTS).flatmap(record_values).flatmap(lambda value: laid_out(value, PLAIN)),
+    record_objects().flatmap(laid_out),
+)
+
+
+@st.composite
+def record_files(draw):
+    """A record file's lines: clean records laid out plainly, or records and layouts with defects."""
+    if draw(st.booleans()):
+        values = draw(st.lists(record_objects(), max_size=5))
+        return [line for value in values for line in draw(laid_out(value, st.just("plain")))]
+    kinds = st.sampled_from(("clean",) + OBJECT_DEFECTS)
+    values = draw(st.lists(kinds.flatmap(record_values), max_size=5))
+    return [line for value in values for line in draw(laid_out(value))]
+
+
+def outcome(parse):
+    """The records ``parse`` returns, each with its serialized line, or the error it raises."""
+    try:
+        return [(record, serialize_record(record)) for record in parse()]
+    except MixLabError as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+
+
+def parse_each_line(lines, known):
+    return [_parse_record_line(line, n, known) for n, line in enumerate(lines, start=1) if line.strip()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(lines=DEFECTIVE_LINES, with_suite=st.booleans())
+def test_fast_path_accepts_only_what_the_parser_accepts(lines, with_suite):
+    known = set(DIFF_NAMES) if with_suite else None
+    for line_number, line in enumerate(lines, start=1):
+        fast = _fast_record(line, known)
+        if fast is not None:
+            assert outcome(lambda: [fast]) == outcome(lambda: [_parse_record_line(line, line_number, known)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=record_files(), with_suite=st.booleans())
+def test_parse_records_equals_the_per_line_parser(lines, with_suite):
+    suite, known = (DIFF_SUITE, set(DIFF_NAMES)) if with_suite else (None, None)
+    assert outcome(lambda: parse_records(lines, suite=suite)) == outcome(lambda: parse_each_line(lines, known))

@@ -384,6 +384,23 @@ class TestScoringFiles:
             score_pairs([good, "", bad])
         assert excinfo.value.line_number == 3
 
+    @pytest.mark.parametrize("bad, message", [
+        ("not json", "line 3: invalid JSON: Expecting value"),
+        ('{"prediction": "x"} {"gold": "B"}', "line 3: invalid JSON: Extra data"),
+        ("[" * 200_000, "line 3: invalid JSON: nested too deeply"),
+        ('{"prediction": "x", "gold": "B", "mode": "text"} x', "line 3: invalid JSON: Extra data"),
+    ], ids=["not-json", "two-objects", "deeply-nested", "trailing-text"])
+    def test_undecodable_line_names_the_line(self, bad, message):
+        good = json.dumps({"prediction": REASONED, "gold": "B", "mode": "text"}) + "\n"
+        with pytest.raises(MalformedLine) as excinfo:
+            score_pairs([good, " \r\n", bad])
+        assert str(excinfo.value).startswith(message)
+
+    @pytest.mark.parametrize("layout", ["{}\n", "{}\r\n", "  {}  \n", "{}"])
+    def test_line_layout_does_not_change_the_score(self, layout):
+        line = json.dumps({"prediction": REASONED, "gold": "B", "mode": "text"})
+        assert [r.total for r in score_pairs([layout.format(line)])] == [3.0]
+
     @pytest.mark.parametrize("prediction, gold, mode", BAD_TYPES)
     def test_score_pair_rejects_bad_types(self, prediction, gold, mode):
         with pytest.raises(InvalidPair):

@@ -130,15 +130,7 @@ class Exhausted(MixLabError):
     """A domain pool ran out of unseen items before the requested draw count."""
 
 
-# --- GRPO simulation --------------------------------------------------------
-
-class GroupTooSmall(MixLabError):
-    """Group-relative advantages need at least two sampled actions."""
-
-
-class SupportMismatch(MixLabError):
-    """KL divergence is undefined: p puts mass where q has none."""
-
+# --- synthetic world --------------------------------------------------------
 
 class InvalidSpec(MixLabError):
     """A synthetic-world specification is internally inconsistent."""

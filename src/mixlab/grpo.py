@@ -28,16 +28,15 @@ skill.  The trainer batches steps by that dependency
 (:func:`_level_schedule`): level ``l`` holds every step that is the ``l``-th
 of its run on its skill, all on distinct rows.  A phase takes as many levels
 as the most steps one run spends on one skill, not as many as a run takes
-steps.  Every array operation works row by row and rounds exactly as the
-one-group reference path (:func:`build_group`,
-:func:`objective_row_gradient`, :func:`grpo_step`) does, so no row's result
-depends on which rows share its batch and the batched trainer reproduces a
-per-run ``grpo_step`` loop bit for bit; the tests compare the two.  The
-batched step leaves out only operations whose results are exact: a step's
-first inner epoch evaluates at the snapshot, where every ratio is exactly 1
-and no sample is clipped, so it skips the ratio path, and later epochs reuse
-the step's one-hot actions and old log-probabilities.  Group samples still
-add up in sample order.
+steps, and :func:`grpo_step` updates a block of one level's rows at once.
+Every array operation works row by row and rounds exactly as the per-run
+scalar reference in ``tests/grpo_reference.py`` does, so no row's result
+depends on which rows share its block and the tests require a per-run loop
+of that reference to give the same logits bit for bit.  The batched step
+leaves out only operations whose results are exact: a step's first inner
+epoch evaluates at the snapshot, where every ratio is exactly 1 and no
+sample is clipped, so it skips the ratio path, and later epochs reuse the
+step's one-hot actions and old log-probabilities.
 """
 
 from __future__ import annotations
@@ -49,14 +48,18 @@ from typing import Sequence
 import numpy as np
 
 from .config import check_types
-from .errors import DimensionMismatch, GroupTooSmall, SupportMismatch
+from .errors import DimensionMismatch
 from .mixtures import MixtureWeights
 from .records import PerformanceRecord
-from .rewards import DEFAULT_WEIGHTS, combined_reward
+from .rewards import combined_reward
 from .sampler import draw_streams
 from .sampler import init as sampler_init
 from .sampler import next_sample  # noqa: F401  (unused; perfbench/tracing.py patches this binding)
 from .world import SyntheticWorld, benchmark_scores
+
+# reward totals of a wrong and a right answer (the proxy policy is never malformed)
+_MISS_REWARD, _HIT_REWARD = (combined_reward(1, accuracy=hit).total for hit in (0, 1))
+
 
 @dataclass(frozen=True)
 class GrpoConfig:
@@ -86,164 +89,6 @@ class GrpoConfig:
             raise ValueError("inner_epochs must be >= 1")
 
 
-@dataclass(frozen=True)
-class PolicyParams:
-    """Tabular softmax policy: theta[skill] are the action logits for a skill."""
-
-    theta: np.ndarray
-
-    @classmethod
-    def zeros(cls, k: int, n_actions: int) -> "PolicyParams":
-        return cls(theta=np.zeros((k, n_actions)))
-
-    @property
-    def n_actions(self) -> int:
-        return int(self.theta.shape[1])
-
-    def action_dist(self, skill: int) -> np.ndarray:
-        return softmax(self.theta[skill])
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
-
-
-def group_advantages(rewards: Sequence[float]) -> np.ndarray:
-    """Group-normalized rewards: (r - mean) / population std; zeros at zero spread.
-
-    The spread check is exact on the raw rewards: with all rewards equal the
-    computed mean can land one ulp off and leave a spurious tiny std.
-    """
-    r = np.asarray(rewards, dtype=float)
-    if r.size < 2:
-        raise GroupTooSmall(f"need a group of at least 2 rewards, got {r.size}")
-    if r.max() == r.min():
-        return np.zeros_like(r)
-    centred = r - r.mean()
-    # second centring pass: when the spread is small next to the rewards, the
-    # first mean's rounding error survives the division by std as a nonzero mean
-    centred -= centred.mean()
-    std = math.sqrt(float((centred**2).mean()))
-    if std == 0.0:  # spread too small for the variance to survive squaring
-        return np.zeros_like(r)
-    return centred / std
-
-
-def clipped_term(ratio: float, advantage: float, epsilon: float) -> float:
-    """min(ratio * A, clip(ratio, 1 - eps, 1 + eps) * A)."""
-    clipped = min(max(ratio, 1.0 - epsilon), 1.0 + epsilon)
-    return min(ratio * advantage, clipped * advantage)
-
-
-def categorical_kl(p: Sequence[float], q: Sequence[float]) -> float:
-    """Exact KL(p || q) over a discrete action space."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise SupportMismatch(f"distributions differ in size: {p.shape} vs {q.shape}")
-    mask = p > 0.0
-    if (q[mask] <= 0.0).any():
-        raise SupportMismatch("q has zero mass where p is positive")
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
-@dataclass(frozen=True)
-class TrajectoryGroup:
-    """G sampled actions for one task with everything the objective needs."""
-
-    actions: np.ndarray
-    advantages: np.ndarray
-    logp_theta: np.ndarray
-    logp_old: np.ndarray
-    dist_theta: np.ndarray
-    dist_ref: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.actions.shape[0])
-
-
-def build_group(
-    policy: PolicyParams,
-    old_policy: PolicyParams,
-    ref_policy: PolicyParams,
-    skill: int,
-    gold: int,
-    actions: np.ndarray,
-    config: GrpoConfig,
-) -> TrajectoryGroup:
-    """Assemble a trajectory group for fixed sampled actions.
-
-    Separating action sampling from group construction lets the objective be
-    re-evaluated at perturbed parameters (finite-difference checks, inner
-    epochs) without touching the sampled actions.
-    """
-    dist_theta = policy.action_dist(skill)
-    rewards = np.array([
-        combined_reward(1, accuracy=int(a == gold)).total
-        for a in actions
-    ])
-    return TrajectoryGroup(
-        actions=np.asarray(actions),
-        advantages=group_advantages(rewards),
-        logp_theta=np.log(dist_theta[actions]),
-        logp_old=np.log(old_policy.action_dist(skill)[actions]),
-        dist_theta=dist_theta,
-        dist_ref=ref_policy.action_dist(skill),
-    )
-
-
-def sample_actions(
-    old_policy: PolicyParams,
-    skill: int,
-    config: GrpoConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    dist = old_policy.action_dist(skill)
-    return rng.choice(old_policy.n_actions, size=config.group_size, p=dist)
-
-
-def grpo_objective(group: TrajectoryGroup, config: GrpoConfig) -> float:
-    """Mean clipped surrogate minus the KL penalty for one group."""
-    ratios = np.exp(group.logp_theta - group.logp_old)
-    surrogate = [
-        clipped_term(float(r), float(a), config.clip_epsilon)
-        for r, a in zip(ratios, group.advantages)
-    ]
-    kl = categorical_kl(group.dist_theta, group.dist_ref)
-    return float(np.mean(surrogate)) - config.kl_coeff * kl
-
-
-def objective_row_gradient(group: TrajectoryGroup, config: GrpoConfig) -> np.ndarray:
-    """Analytic gradient of the objective w.r.t. the task skill's logit row.
-
-    For the clipped surrogate, gradient flows through sample i only while the
-    unclipped term attains the min; there
-    d(ratio)/d(theta_b) = ratio * (onehot(a_i)_b - p_b).  For the exact KL,
-    d(KL)/d(theta_b) = p_b * (log(p_b / q_b) - KL).  Rows of skills other
-    than the task's have zero gradient.
-    """
-    p = group.dist_theta
-    q = group.dist_ref
-    ratios = np.exp(group.logp_theta - group.logp_old)
-    grad = np.zeros_like(p)
-    for i in range(group.size):
-        ratio = float(ratios[i])
-        advantage = float(group.advantages[i])
-        clipped = min(max(ratio, 1.0 - config.clip_epsilon), 1.0 + config.clip_epsilon)
-        if ratio * advantage <= clipped * advantage:
-            onehot = np.zeros_like(p)
-            onehot[group.actions[i]] = 1.0
-            grad += advantage * ratio * (onehot - p)
-    grad /= group.size
-    if config.kl_coeff > 0.0:
-        kl = categorical_kl(p, q)
-        grad -= config.kl_coeff * p * (np.log(p / q) - kl)
-    return grad
-
-
 def learning_rate_at(step: int, config: GrpoConfig) -> float:
     """Linear warm-up to the peak over the first warmup fraction, then linear decay.
 
@@ -255,33 +100,6 @@ def learning_rate_at(step: int, config: GrpoConfig) -> float:
         return config.peak_learning_rate * (step + 1) / warmup
     remaining = max(1, config.steps - warmup)
     return config.peak_learning_rate * (config.steps - step) / remaining
-
-
-def grpo_step(
-    policy: PolicyParams,
-    task: tuple[int, int],
-    config: GrpoConfig,
-    rng: np.random.Generator,
-    ref_policy: PolicyParams,
-    step: int = 0,
-) -> PolicyParams:
-    """One update: sample a group from the step-start snapshot, ascend the gradient.
-
-    The snapshot refreshes every step, so ratios start at 1; with
-    ``inner_epochs > 1`` additional passes reuse the same group and exercise
-    the clipping path as ratios drift.
-    """
-    skill, gold = task
-    old_policy = policy
-    actions = sample_actions(old_policy, skill, config, rng)
-    lr = learning_rate_at(step, config)
-    theta = policy.theta
-    for _ in range(config.inner_epochs):
-        group = build_group(PolicyParams(theta), old_policy, ref_policy, skill, gold, actions, config)
-        gradient = objective_row_gradient(group, config)
-        theta = theta.copy()
-        theta[skill] += lr * gradient
-    return PolicyParams(theta)
 
 
 @dataclass(frozen=True)
@@ -369,16 +187,17 @@ def _task_streams(
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """:func:`softmax` of each row, rounded exactly as the 1-D call rounds it."""
+    """Softmax of each row, shifted by the row's maximum."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=1, keepdims=True)
 
 
 def _advantage_rows(rewards: np.ndarray) -> np.ndarray:
-    """:func:`group_advantages` of each row, with the same two centring passes and guards.
+    """Group-normalized rewards of each row: ``(r - mean) / std``, zeros at zero spread.
 
-    ``sum / n`` is how ``mean`` computes, without its Python wrapper.
+    Centred twice, so the first mean's rounding error does not survive a small
+    spread as a nonzero advantage mean.  ``sum / n`` is how ``mean`` computes.
     """
     n = rewards.shape[1]
     centered = rewards - rewards.sum(axis=1, keepdims=True) / n
@@ -388,27 +207,62 @@ def _advantage_rows(rewards: np.ndarray) -> np.ndarray:
     return np.where(flat, 0.0, centered / np.where(flat, 1.0, std))
 
 
-def _gradient_rows(
-    p: np.ndarray,
-    onehot: np.ndarray,
-    weights: np.ndarray,
-    q: np.ndarray,
-    config: GrpoConfig,
-) -> np.ndarray:
-    """:func:`objective_row_gradient` of each row, from each sample's surrogate weight.
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``log(p / q)`` and exact ``KL(p || q)`` ``(n, 1)`` over the actions."""
+    log_ratio = np.log(p / q)
+    return log_ratio, (p * log_ratio).sum(axis=1, keepdims=True)
+
+
+def _gradient_rows(p: np.ndarray, onehot: np.ndarray, weights: np.ndarray, q: np.ndarray,
+                   config: GrpoConfig) -> np.ndarray:
+    """Gradient of each row's objective w.r.t. its logits, from each sample's surrogate weight.
 
     A sample's weight is ``advantage * ratio`` where the unclipped term attains
-    the min and 0 elsewhere.  Group samples add up in order: numpy reduces a
-    non-last axis by adding whole rows in index order.
+    the min (d ratio / d theta = ratio * (onehot - p)) and 0 elsewhere.  The
+    exact KL (:func:`_kl_rows`) has d KL / d theta = p * (log(p / q) - KL).
+    Group samples add up in order: numpy reduces a non-last axis row by row.
     """
     terms = onehot - p[:, None, :]
     terms *= weights[:, :, None]  # in place: a block's (rows, G, A) temporaries set its peak memory
     grad = terms.sum(axis=1) / weights.shape[1]
     if config.kl_coeff > 0.0:
-        log_ratio = np.log(p / q)
-        kl = (p * log_ratio).sum(axis=1, keepdims=True)
+        log_ratio, kl = _kl_rows(p, q)
         grad -= config.kl_coeff * p * (log_ratio - kl)
     return grad
+
+
+def grpo_step(old: np.ndarray, uniforms: np.ndarray, golds: np.ndarray, lr: np.ndarray,
+              ref: np.ndarray, config: GrpoConfig) -> np.ndarray:
+    """One GRPO update of independent logit rows ``old`` ``(n, A)``: the new rows.
+
+    Row ``i`` draws a group of actions from its softmax with ``uniforms[i]``
+    ``(G,)``, rewards those equal to ``golds[i]``, normalizes the rewards in
+    the group and ascends the objective ``config.inner_epochs`` times at rate
+    ``lr[i]``, with the KL penalty against the distribution ``ref`` ``(1, A)``.
+    """
+    p_old = _softmax_rows(old)
+    # rng.choice(A, p=p_old): the count of normalized-CDF entries at or below u
+    cdf = p_old.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    actions = (cdf[:, None, :] <= uniforms[:, :, None]).sum(axis=2)
+    rewards = np.where(actions == golds[:, None], _HIT_REWARD, _MISS_REWARD)
+    advantages = _advantage_rows(rewards)
+    lr = lr[:, None]
+    # the snapshot epoch evaluates at p_old: every ratio is exactly 1, so no
+    # sample is clipped and each weight is its advantage
+    onehot = (actions[:, :, None] == np.arange(old.shape[1])).astype(float)
+    new = old + lr * _gradient_rows(p_old, onehot, advantages, ref, config)
+    if config.inner_epochs > 1:
+        batch = np.arange(len(old))[:, None]
+        logp_old = np.log(p_old[batch, actions])
+        for _ in range(1, config.inner_epochs):
+            p = _softmax_rows(new)
+            ratios = np.exp(np.log(p[batch, actions]) - logp_old)
+            clipped = np.minimum(np.maximum(ratios, 1.0 - config.clip_epsilon), 1.0 + config.clip_epsilon)
+            unclipped = ratios * advantages <= clipped * advantages
+            weights = np.where(unclipped, advantages * ratios, 0.0)
+            new = new + lr * _gradient_rows(p, onehot, weights, ref, config)
+    return new
 
 
 _BLOCK_ELEMENTS = 1 << 14  # (rows, G, A) elements per batch: larger batches run out of cache
@@ -442,54 +296,29 @@ def train_policies(
     action sampling draw from the two streams of :func:`run_streams`.
     A run ends at the step budget or the first time a drawn domain's pool is
     exhausted.  Every run's tasks and uniforms are set up before training,
-    once per stream key and as arrays over all runs (:func:`_task_streams`).
-    A step's data, uniforms and learning rate are thus fixed before
-    training starts, and it reads and writes only its run's logit row for
-    its task's skill.  So the steps run level by level
-    (:func:`_level_schedule`), each level in blocks of at most
-    ``_BLOCK_ELEMENTS`` group-by-action entries; every operation works row
-    by row, so a row's result does not depend on which rows share its block.
+    once per stream key and as arrays over all runs (:func:`_task_streams`),
+    and a step reads and writes only its run's logit row for its task's
+    skill.  So the steps run level by level (:func:`_level_schedule`), each
+    level in blocks of at most ``_BLOCK_ELEMENTS`` group-by-action entries,
+    one :func:`grpo_step` call a block.
     """
     for run in runs:
         if run.mixture.m != world.m:
             raise DimensionMismatch(f"{run.mixture.m} weights for a world with {world.m} domains")
-    steps, group_size = config.steps, config.group_size
+    steps = config.steps
     lengths, skills, golds, uniforms, key_of_run = _task_streams(world, runs, config)
 
     theta = np.zeros((len(runs) * world.k, world.A))
-    ref = softmax(np.zeros(world.A))
+    ref = _softmax_rows(np.zeros((1, world.A)))
     learning_rates = np.array([learning_rate_at(step, config) for step in range(steps)])
     taken, bounds = _level_schedule(skills, lengths, world.k)
-    block = max(1, _BLOCK_ELEMENTS // (group_size * world.A))
+    block = max(1, _BLOCK_ELEMENTS // (config.group_size * world.A))
     for level_start, level_end in zip(bounds[:-1], bounds[1:]):
         for start in range(level_start, level_end, block):
             run, step = np.divmod(taken[start:min(start + block, level_end)], steps)
             row = run * world.k + skills[run, step]
-            old = theta[row]
-            p_old = _softmax_rows(old)
-            # rng.choice(A, p=p_old): the count of normalized-CDF entries at or below u
-            cdf = p_old.cumsum(axis=1)
-            cdf /= cdf[:, -1:]
-            actions = (cdf[:, None, :] <= uniforms[key_of_run[run], step][:, :, None]).sum(axis=2)
-            match = actions == golds[run, step][:, None]
-            rewards = DEFAULT_WEIGHTS.accuracy * match + DEFAULT_WEIGHTS.format
-            advantages = _advantage_rows(rewards)
-            lr = learning_rates[step][:, None]
-            # the snapshot epoch evaluates at p_old: every ratio is exactly 1, so no
-            # sample is clipped and each weight is its advantage
-            onehot = (actions[:, :, None] == np.arange(world.A)).astype(float)
-            new = old + lr * _gradient_rows(p_old, onehot, advantages, ref, config)
-            if config.inner_epochs > 1:
-                batch = np.arange(len(row))[:, None]
-                logp_old = np.log(p_old[batch, actions])
-                for _ in range(1, config.inner_epochs):
-                    p = _softmax_rows(new)
-                    ratios = np.exp(np.log(p[batch, actions]) - logp_old)
-                    clipped = np.minimum(np.maximum(ratios, 1.0 - config.clip_epsilon), 1.0 + config.clip_epsilon)
-                    unclipped = ratios * advantages <= clipped * advantages
-                    weights = np.where(unclipped, advantages * ratios, 0.0)
-                    new = new + lr * _gradient_rows(p, onehot, weights, ref, config)
-            theta[row] = new
+            theta[row] = grpo_step(theta[row], uniforms[key_of_run[run], step], golds[run, step],
+                                   learning_rates[step], ref, config)
     return theta.reshape(len(runs), world.k, world.A), lengths
 
 

@@ -152,35 +152,6 @@ def draw_streams(
     return domains, ranks, lengths
 
 
-def draw_stream(state: SamplerState, max_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Up to ``max_steps`` samples at once, as (domains, items) index arrays.
-
-    Gives the sequence :func:`next_sample` would, stop on exhaustion
-    included, from one bulk draw of ``max_steps`` uniforms
-    (:func:`draw_streams` with one row).  The bulk draw runs the generator
-    past the stop, so the state is left finished.
-    """
-    if state.renormalize:
-        raise ValueError("draw_stream follows the stop-on-exhaustion rule only")
-    if state.finished:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    m = len(state.queues)
-    remaining = np.array([state.remaining(d) for d in range(m)])
-    domains, ranks, lengths = draw_streams(
-        state.cumulative[None], state._active[None], state.rng.random(max_steps)[None], remaining)
-    length = int(lengths[0])
-    domains, rank = domains[0, :length], ranks[0, :length]
-    items = np.empty(length, dtype=np.int64)
-    for d in range(m):
-        taken = domains == d
-        start = state.positions[d]
-        items[taken] = state.queues[d][start + rank[taken] - 1]
-        state.positions[d] = start + int(taken.sum())
-    state.steps_emitted += length
-    state.finished = True
-    return domains, items
-
-
 def empirical_frequencies(
     weights: MixtureWeights,
     n: int,

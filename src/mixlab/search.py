@@ -14,6 +14,7 @@ standard-normal block from numpy's seeded PCG64 generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,8 +48,8 @@ class ProposalConfig:
             raise ValueError("n_samples must be >= 1")
         if not 0 <= self.k <= self.n_samples:
             raise ValueError("k must satisfy 0 <= k <= n_samples")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
+        if not (math.isfinite(self.jitter) and self.jitter >= 0.0):
+            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,9 @@ import time
 import numpy as np
 import pytest
 
+from mixlab import grpo
 from mixlab.cli import dispatch
-from mixlab.grpo import (
-    GrpoConfig,
-    categorical_kl,
-    grpo_objective,
-    group_advantages,
-    objective_row_gradient,
-)
+from mixlab.grpo import GrpoConfig
 from mixlab.heuristics import AlphaConfig, alpha_weights, colinearity_weights, leave_one_out_weights
 from mixlab.mixtures import MixtureWeights, normalize_to_simplex, write_mixture_file
 from mixlab.pipeline import PipelineConfig, SeedPlan, run_full
@@ -37,7 +32,7 @@ from mixlab.search import ProposalConfig
 from mixlab.surrogate import FitConfig, SurrogateModel, cross_validated_fit, predict
 from mixlab.world import BenchmarkDef, WorldSpec
 from tests.conftest import make_record
-from tests.test_grpo import group_from_rows
+from tests.grpo_reference import group_from_rows, grpo_objective
 
 TWO_BENCH = [BenchmarkSpec("bin", 1, "in"), BenchmarkSpec("bout", 1, "out")]
 
@@ -146,11 +141,12 @@ def test_c4_surrogate_recovery_and_nested_models():
 
 
 def test_c5_grpo_numerics():
+    # the row functions the trainer runs; the objective they differentiate is the scalar reference's
     rng = np.random.default_rng(7)
     for _ in range(50):
         size = int(rng.integers(2, 10))
         rewards = rng.choice([0.0, 1.0, 3.0], size=size)
-        adv = group_advantages(rewards)
+        adv = grpo._advantage_rows(rewards[None])[0]
         assert abs(adv.mean()) <= 1e-9
         if rewards.max() > rewards.min():
             assert abs(math.sqrt(float((adv**2).mean())) - 1.0) <= 1e-9
@@ -165,8 +161,15 @@ def test_c5_grpo_numerics():
         actions = rng.integers(0, n_actions, size=6)
         if len(set(int(a) for a in actions)) == 1:
             actions[0] = (actions[0] + 1) % n_actions
-        group = group_from_rows(theta, old, ref, actions, gold, config)
-        analytic = objective_row_gradient(group, config)
+        # an inner epoch's sample weights: advantage * ratio where the unclipped term attains the min
+        p, p_old, q = (grpo._softmax_rows(row[None]) for row in (theta, old, ref))
+        advantages = grpo._advantage_rows(np.array([[combined_reward(1, accuracy=int(a == gold)).total
+                                                     for a in actions]]))
+        ratios = np.exp(np.log(p[:, actions]) - np.log(p_old[:, actions]))
+        clipped = np.clip(ratios, 1 - config.clip_epsilon, 1 + config.clip_epsilon)
+        weights = np.where(ratios * advantages <= clipped * advantages, advantages * ratios, 0.0)
+        onehot = (actions[None, :, None] == np.arange(n_actions)).astype(float)
+        analytic = grpo._gradient_rows(p, onehot, weights, q, config)[0]
         numeric = np.zeros(n_actions)
         for b in range(n_actions):
             plus, minus = theta.copy(), theta.copy()
@@ -180,10 +183,10 @@ def test_c5_grpo_numerics():
     assert worst <= 1e-4
 
     for _ in range(100):
-        p = rng.dirichlet(np.ones(4))
-        q = rng.dirichlet(np.ones(4))
-        assert categorical_kl(p, q) >= 0.0
-        assert categorical_kl(p, p) <= 1e-12
+        p = rng.dirichlet(np.ones(4))[None]
+        q = rng.dirichlet(np.ones(4))[None]
+        assert grpo._kl_rows(p, q)[1][0, 0] >= 0.0
+        assert grpo._kl_rows(p, p)[1][0, 0] <= 1e-12
     report(f"PASS criterion 5: advantages exact, gradient rel err {worst:.2e} <= 1e-4, KL sound")
 
 

@@ -403,6 +403,11 @@ class TestPipelineCommand:
      {"train": {"reward_weights": {"accuracy": 2.0, "format": 1.0}}}, "reward_weights"),
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"seed_plan": {"singles": False}}, "singles"),
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"seed_plan": 2}, "seed_plan must be SeedPlan"),
+    # a non-finite proposal jitter, from a flag or a config file
+    (["propose", "--records", "{records}", "--jitter", "inf"], {}, "jitter"),
+    (["propose", "--records", "{records}", "--jitter", "nan"], {}, "jitter"),
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"],
+     {"proposal": {"n_samples": 200, "k": 2, "seed": 1, "jitter": 1e400}}, "jitter"),
 ])
 def test_bad_option_is_usage_error(capsys, tmp_path, fixture_file, world_file, mixture_file,
                                    pipeline_config_file, argv, config_changes, message):

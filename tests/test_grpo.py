@@ -4,21 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixlab.errors import DimensionMismatch, GroupTooSmall, SupportMismatch
+from mixlab.errors import DimensionMismatch
 from mixlab import grpo
 from mixlab.grpo import (
     GrpoConfig,
-    PolicyParams,
     RunSpec,
-    build_group,
-    categorical_kl,
-    clipped_term,
-    grpo_objective,
-    grpo_step,
-    group_advantages,
     learning_rate_at,
-    objective_row_gradient,
-    sample_actions,
     train_policies,
     run_streams,
     train_runs,
@@ -29,6 +20,20 @@ from mixlab.records import serialize_record
 from mixlab.sampler import init as sampler_init
 from mixlab.sampler import next_sample
 from mixlab.world import BenchmarkDef, WorldSpec, benchmark_scores, make_world
+from tests import grpo_reference
+from tests.grpo_reference import (
+    GroupTooSmall,
+    PolicyParams,
+    SupportMismatch,
+    categorical_kl,
+    clipped_term,
+    grpo_objective,
+    grpo_step,
+    group_advantages,
+    group_from_rows,
+    objective_row_gradient,
+    sample_actions,
+)
 
 
 class TestGroupAdvantages:
@@ -120,14 +125,6 @@ class TestCategoricalKl:
             categorical_kl([0.5, 0.5], [1.0, 0.0])
         with pytest.raises(SupportMismatch):
             categorical_kl([0.5, 0.5], [0.3, 0.3, 0.4])
-
-
-def group_from_rows(theta_row, old_row, ref_row, actions, gold, config):
-    k_pad = 1
-    policy = PolicyParams(np.array([theta_row]))
-    old = PolicyParams(np.array([old_row]))
-    ref = PolicyParams(np.array([ref_row]))
-    return build_group(policy, old, ref, 0, gold, np.array(actions), config)
 
 
 class TestGrpoObjective:
@@ -397,7 +394,7 @@ class TestTrainRuns:
                             clip_epsilon=0.05, peak_learning_rate=0.5)
         runs = [RunSpec(mix, 30 + i, f"run{i}") for i, mix in enumerate(RUN_MIXTURES)]
         clipped = []
-        original = grpo.objective_row_gradient
+        original = grpo_reference.objective_row_gradient
 
         def counting(group, cfg):
             ratios = np.exp(group.logp_theta - group.logp_old)
@@ -405,7 +402,7 @@ class TestTrainRuns:
             clipped.append(int((ratios * group.advantages > bounded * group.advantages).sum()))
             return original(group, cfg)
 
-        monkeypatch.setattr(grpo, "objective_row_gradient", counting)
+        monkeypatch.setattr(grpo_reference, "objective_row_gradient", counting)
         assert_lockstep_matches_reference(world, config, runs)
         assert sum(clipped) > 0  # some samples left the trust region and were dropped
 
@@ -513,8 +510,18 @@ class TestLevelSchedule:
             return schedule
 
         monkeypatch.setattr(grpo, "_level_schedule", recording)
-        assert_lockstep_matches_reference(world, config, runs)
+        block_rows = []
+        original_step = grpo.grpo_step
+
+        def counting_step(old, *args):
+            block_rows.append(len(old))
+            return original_step(old, *args)
+
+        monkeypatch.setattr(grpo, "grpo_step", counting_step)  # the binding perfbench's tracer wraps
+        steps = assert_lockstep_matches_reference(world, config, runs)
         assert sum(size > 3 for size in level_sizes) > 5  # levels that span several blocks
+        # one call a block, through the module global; train_policies and train_runs each train once
+        assert max(block_rows) == 3 and sum(block_rows) == 2 * steps.sum()
 
     def test_zero_steps(self):
         theta, steps = train_policies(tiny_world(), [RunSpec(mix, i) for i, mix in enumerate(RUN_MIXTURES)],

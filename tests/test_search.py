@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -182,3 +184,8 @@ class TestPropose:
             ProposalConfig(n_samples=10, k=11)
         with pytest.raises(ValueError):
             ProposalConfig(jitter=-1.0)
+
+    def test_non_finite_jitter_rejected(self):
+        for jitter in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="jitter must be finite"):
+                ProposalConfig(jitter=jitter)

@@ -124,9 +124,7 @@ def run_streams(seed: int | np.random.SeedSequence) -> tuple[np.random.SeedSeque
 def _stream_key(seed: int | np.random.SeedSequence) -> tuple:
     """What :func:`run_streams` reads of a seed: equal keys give equal streams."""
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    entropy = seq.entropy
-    entropy = int(entropy) if np.ndim(entropy) == 0 else tuple(int(word) for word in entropy)
-    return entropy, tuple(seq.spawn_key)
+    return tuple(int(word) for word in np.atleast_1d(seq.entropy)), tuple(seq.spawn_key)
 
 
 def _task_streams(
@@ -336,9 +334,10 @@ def train_runs(
     for r, (run, scores) in enumerate(zip(runs, benchmark_scores(world, theta))):
         labels = run.mixture.dataset_labels()
         record_id = run.record_id
-        if record_id is None:
+        if record_id is None:  # mix<labels>-s<entropy>, then -k<spawn key> when it has one
             digits = "".join(str(label) for label in labels) or "none"
-            record_id = f"mix{digits}-s{run.seed}"
+            entropy, spawn_key = (".".join(map(str, words)) for words in _stream_key(run.seed))
+            record_id = f"mix{digits}-s{entropy}" + (f"-k{spawn_key}" if spawn_key else "")
         records.append(PerformanceRecord(
             id=record_id,
             datasets=labels,

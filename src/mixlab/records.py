@@ -7,18 +7,17 @@ is calibrated against; its seed rows carry uniform weights over their
 digit-coded participating sets, while heuristic- and model-derived rows keep
 ``weights = null`` because their mixtures were never published.
 
-Record files are read one line at a time, each line in one of two ways.  The
-fast path (``_fast_record``) decodes the line with one bound JSON scanner and
-accepts only the common shape, with exact-type checks: exactly the schema's
-four or five keys, a str id, int labels >= 1 in increasing order, int or
-float scores in [0, 1] under known names, float weights in [0, 1] whose
-``math.fsum`` is within ``SIMPLEX_ATOL`` of 1 and whose nonzero labels are
-the datasets.  It builds the record from those checked values and never
-raises.  Any line it is not sure of goes, as it is, to the per-line parser
-(``_parse_record_line``), which returns the identical record or raises the
-error it always raised, with the same line number.  So a file reads the
-same, messages and exit codes included, whichever path each line takes; the
-file is streamed once, and no line is joined to another.
+Record files are streamed once, a line at a time, and each line is decoded
+once: by one bound scanner (:func:`scan_line`) when it holds one JSON value
+and its newline, else by :func:`decode_line`, which decodes padded and CRLF
+lines and raises the decoder's own message for an invalid one.  ``_record``
+then turns the value into a record or raises the line's first fault.  Its
+type tests are exact (JSON decodes to no subclasses, so ``type(x) is int``
+is ``isinstance(x, int)`` without bool), and the common case is checked in
+bulk: all scores at once, and weights that are floats in [0, 1] with a
+``math.fsum`` within ``SIMPLEX_ATOL`` of 1 wrap without :func:`validate`.
+Scores or weights that fail a bulk check are checked again one value at a
+time, so the fault raised is the first.
 """
 
 from __future__ import annotations
@@ -111,8 +110,7 @@ def summarize(record: PerformanceRecord, suite: Sequence[BenchmarkSpec]) -> Scor
 # Dataset entries are 1-based labels; label i maps to weight position i - 1.
 
 _KEYS = frozenset(("id", "datasets", "weights", "scores"))
-_KEYS_WITH_STEP = _KEYS | {"step"}
-_INT, _FLOAT, _NUMBER = frozenset({int}), frozenset({float}), frozenset({int, float})
+_FLOAT, _NUMBER = frozenset({float}), frozenset({int, float})
 _scan_once = json.JSONDecoder().scan_once
 
 
@@ -159,109 +157,77 @@ def parse_records(
                 line.encode("utf-8")
             except UnicodeEncodeError as exc:
                 raise MalformedLine(line_number, "not UTF-8 text") from exc
-        record = _fast_record(line, known)
-        if record is None:
+        obj = scan_line(line)
+        if obj is None:
             if not line.strip():
                 continue
-            record = _parse_record_line(line, line_number, known)
-        out.append(record)
+            obj = decode_line(line, line_number)
+        out.append(_record(obj, line_number, known))
+        del obj  # freed before the next decode, so its blocks are reused, not left between records
     return out
 
 
-def _fast_record(line: str, known: set[str] | None) -> PerformanceRecord | None:
-    """The record on a line of the common shape (see the module docstring); None for any other line.
-
-    Exact types stand in for the per-line parser's isinstance checks, since
-    JSON decodes to no subclasses.  A weight above 1 within the tolerance, an
-    int weight or unsorted labels are valid but left to that parser.
-    """
-    obj = scan_line(line)
-    if type(obj) is not dict or (obj.keys() != _KEYS_WITH_STEP and obj.keys() != _KEYS):
-        return None
-    rid, datasets, weights, scores, step = (
-        obj["id"], obj["datasets"], obj["weights"], obj["scores"], obj.get("step"))
-    if (type(rid) is not str or type(datasets) is not list or type(scores) is not dict
-            or (step is not None and type(step) is not int)
-            or (datasets and set(map(type, datasets)) != _INT)):
-        return None
-
-    values = scores.values()
-    value_types = set(map(type, values))
-    if (not value_types <= _NUMBER or not all(0.0 <= v <= 1.0 for v in values)  # False for NaN
-            or (known is not None and not scores.keys() <= known)):
-        return None
-    if int in value_types:
-        scores = {name: float(value) for name, value in scores.items()}
-
-    if weights is None:
-        if datasets and (datasets[0] < 1 or datasets != sorted(set(datasets))):
-            return None
-        mixture = None
-    else:
-        # in [0, 1], so finite and summed without overflow; the labels of the
-        # nonzero weights are ints >= 1 in increasing order, so equal datasets are too
-        if (type(weights) is not list or not weights or set(map(type, weights)) != _FLOAT
-                or not all(0.0 <= w <= 1.0 for w in weights)
-                or abs(math.fsum(weights) - 1.0) > SIMPLEX_ATOL
-                or [label for label, w in enumerate(weights, start=1) if w] != datasets):
-            return None
-        mixture = MixtureWeights.trusted(tuple(weights))
-    return PerformanceRecord(id=rid, datasets=tuple(datasets), weights=mixture, scores=scores, step=step)
-
-
-def _parse_record_line(line: str, line_number: int, known: set[str] | None) -> PerformanceRecord:
-    obj = decode_line(line, line_number)
-    if not isinstance(obj, dict):
+def _record(obj, line_number: int, known: set[str] | None) -> PerformanceRecord:
+    """The record a decoded line holds, or its first fault raised (see the module docstring)."""
+    if type(obj) is not dict:
         raise MalformedLine(line_number, "record must be a JSON object")
-
-    missing = [k for k in ("id", "datasets", "weights", "scores") if k not in obj]
-    if missing:
+    if not obj.keys() >= _KEYS:
+        missing = [k for k in ("id", "datasets", "weights", "scores") if k not in obj]
         raise MalformedLine(line_number, f"missing keys: {missing}")
 
     rid = obj["id"]
-    if not isinstance(rid, str):
+    if type(rid) is not str:
         raise MalformedLine(line_number, "id must be a string")
 
     raw_datasets = obj["datasets"]
-    if not isinstance(raw_datasets, list) or any(
-        not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in raw_datasets
-    ):
+    if type(raw_datasets) is not list:
         raise MalformedLine(line_number, "datasets must be a list of labels >= 1")
-    datasets = tuple(sorted(set(raw_datasets)))
-    if len(datasets) != len(raw_datasets):
+    for d in raw_datasets:  # a loop, not all(): no generator built on every line
+        if type(d) is not int or d < 1:
+            raise MalformedLine(line_number, "datasets must be a list of labels >= 1")
+    if len(set(raw_datasets)) != len(raw_datasets):
         raise MalformedLine(line_number, "datasets must not repeat")
 
-    raw_scores = obj["scores"]
-    if not isinstance(raw_scores, dict):
+    scores = obj["scores"]
+    if type(scores) is not dict:
         raise MalformedLine(line_number, "scores must be an object")
-    scores: dict[str, float] = {}
-    for name, value in raw_scores.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise MalformedLine(line_number, f"score for {name!r} must be a number")
-        if known is not None and name not in known:
-            raise UnknownBenchmark(f"line {line_number}: unknown benchmark {name!r}")
-        if not 0.0 <= value <= 1.0:
-            raise ScoreOutOfRange(f"line {line_number}: score {name}={value} outside [0, 1]")
-        scores[name] = float(value)
+    score_types = set(map(type, scores.values()))
+    if (not score_types <= _NUMBER or not all(0.0 <= v <= 1.0 for v in scores.values())  # False for NaN
+            or (known is not None and not scores.keys() <= known)):
+        for name, value in scores.items():  # raise the first fault, in order
+            if type(value) not in _NUMBER:
+                raise MalformedLine(line_number, f"score for {name!r} must be a number")
+            if known is not None and name not in known:
+                raise UnknownBenchmark(f"line {line_number}: unknown benchmark {name!r}")
+            if not 0.0 <= value <= 1.0:
+                raise ScoreOutOfRange(f"line {line_number}: score {name}={value} outside [0, 1]")
+    if int in score_types:
+        scores = {name: float(value) for name, value in scores.items()}
 
     raw_weights = obj["weights"]
-    weights = None
-    if raw_weights is not None:
-        # exact types: json.loads yields no subclasses, and bool is not a weight
-        if not isinstance(raw_weights, list) or not set(map(type, raw_weights)) <= _NUMBER:
+    if raw_weights is None:
+        weights, datasets = None, tuple(sorted(raw_datasets))
+    else:
+        weight_types = set(map(type, raw_weights)) if type(raw_weights) is list else None
+        if weight_types is None or not weight_types <= _NUMBER:
             raise MalformedLine(line_number, "weights must be a list of numbers or null")
-        try:
-            weights = validate(raw_weights)
-        except Exception as exc:
-            raise MalformedLine(line_number, f"invalid weights: {exc}") from exc
-        if weights.dataset_labels() != datasets:
-            raise MalformedLine(
-                line_number,
-                f"weight support {weights.dataset_labels()} != datasets {datasets}",
-            )
+        # in [0, 1], so the fsum cannot overflow (min() and max() may skip a NaN, which makes it NaN)
+        if (weight_types == _FLOAT and min(raw_weights) >= 0.0 and max(raw_weights) <= 1.0
+                and abs(math.fsum(raw_weights) - 1.0) <= SIMPLEX_ATOL):
+            weights = MixtureWeights.trusted(tuple(raw_weights))
+        else:
+            try:
+                weights = validate(raw_weights)
+            except Exception as exc:
+                raise MalformedLine(line_number, f"invalid weights: {exc}") from exc
+        # the support's labels ascend, so raw datasets equal to them need no sort
+        support = [label for label, w in enumerate(weights.weights, start=1) if w]
+        datasets = tuple(raw_datasets if support == raw_datasets else sorted(raw_datasets))
+        if datasets != tuple(support):
+            raise MalformedLine(line_number, f"weight support {tuple(support)} != datasets {datasets}")
 
     step = obj.get("step")
-    if step is not None and (not isinstance(step, int) or isinstance(step, bool)):
+    if step is not None and type(step) is not int:
         raise MalformedLine(line_number, "step must be an integer or null")
 
     return PerformanceRecord(id=rid, datasets=datasets, weights=weights, scores=scores, step=step)

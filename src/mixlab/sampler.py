@@ -67,15 +67,17 @@ def init(
 def draw_domains(cumulative: np.ndarray, weights: np.ndarray, u):
     """Inverse-CDF domain draw for one uniform or an array of them.
 
-    The domain is the number of cumulative weights at or below ``u``.  When
-    ``u`` lands at or past the accumulated sum (rounding), it falls back to
-    the last positively weighted domain rather than a zero-weight one.  A
-    zero-weight domain adds no width to the CDF, so every index short of the
-    end already names a positively weighted domain and the cap only moves
-    the overshoot.
+    ``cumulative`` and ``weights`` are one mixture's ``(m,)`` arrays, or
+    ``(rows, m)`` with ``u`` ``(rows, n)``, a mixture per row.  The domain is
+    the number of cumulative weights at or below ``u``.  When ``u`` lands at
+    or past the accumulated sum (rounding), it falls back to the last
+    positively weighted domain: a zero-weight domain adds no width to the
+    CDF, so only that overshoot can name one.
     """
-    last_positive = int(np.flatnonzero(weights > 0.0)[-1])
-    return np.minimum(np.searchsorted(cumulative, u, side="right"), last_positive)
+    if cumulative.ndim == 2:  # a column per domain, each entry compared with its row's uniforms
+        cumulative, weights = cumulative[:, None], weights[:, None]
+    last_positive = weights.shape[-1] - 1 - (weights[..., ::-1] > 0.0).argmax(axis=-1)
+    return np.minimum(sum(column <= u for column in np.moveaxis(cumulative, -1, 0)), last_positive)
 
 
 def next_sample(state: SamplerState) -> tuple[int, int] | None:
@@ -125,25 +127,18 @@ def draw_streams(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stop-on-exhaustion streams of many mixtures at once: ``(domains, ranks, lengths)``.
 
-    Row ``r`` turns its uniforms ``uniforms[r]`` into domains by the
-    :func:`draw_domains` rule over its mixture's ``cumulative[r]`` and
-    ``weights[r]``: the count of cumulative weights at or below ``u``,
-    capped at the row's last positively weighted domain.  ``ranks[r, t]`` is
-    how many times ``domains[r, t]`` was drawn up to and including step
-    ``t``.  A row stops at its first draw of a domain ``d`` drawn more often
-    than ``available[d]`` items allow, and ``lengths[r]`` counts the steps
-    before that; entries from there on are not part of its stream.  The
-    work loops over the domains, so no ``(rows, steps, m)`` array is built.
+    Row ``r`` draws its domains from ``uniforms[r]`` with :func:`draw_domains`
+    over ``cumulative[r]`` and ``weights[r]``.  ``ranks[r, t]`` is how many
+    times ``domains[r, t]`` was drawn up to and including step ``t``.  A row
+    stops at its first draw of a domain ``d`` drawn more often than
+    ``available[d]`` items allow; ``lengths[r]`` counts the steps before it,
+    and entries from there on are not part of its stream.  Both loop over
+    the domains, so no ``(rows, steps, m)`` array is built.
     """
-    m = cumulative.shape[1]
-    last_positive = m - 1 - (weights[:, ::-1] > 0.0).argmax(axis=1)
-    domains = np.zeros(uniforms.shape, dtype=np.int64)
-    for d in range(m):
-        domains += cumulative[:, d, None] <= uniforms
-    np.minimum(domains, last_positive[:, None], out=domains)
+    domains = draw_domains(cumulative, weights, uniforms)
     ranks = np.zeros_like(domains)
     dry = np.zeros(uniforms.shape, dtype=bool)
-    for d in range(m):
+    for d in range(cumulative.shape[1]):
         hits = domains == d
         count = np.cumsum(hits, axis=1)
         np.copyto(ranks, count, where=hits)

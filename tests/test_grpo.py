@@ -442,8 +442,11 @@ class TestTrainRuns:
 
     def test_default_record_id(self):
         world = tiny_world()
-        record, = train_runs(world, [RunSpec(MixtureWeights((0.5, 0.5)), 3)], GrpoConfig(steps=5))
-        assert record.id == "mix12-s3"
+        mixture = MixtureWeights((0.5, 0.5))
+        runs = [RunSpec(mixture, 3), RunSpec(mixture, np.random.SeedSequence(5, spawn_key=(1, 2))),
+                RunSpec(mixture, np.random.SeedSequence([7, 8]))]
+        records = train_runs(world, runs, GrpoConfig(steps=5))
+        assert [record.id for record in records] == ["mix12-s3", "mix12-s5-k1.2", "mix12-s7.8"]
 
     def test_no_runs(self):
         theta, steps = train_policies(tiny_world(), [], GrpoConfig(steps=5))

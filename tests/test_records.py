@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mixlab.errors import (
     EmptyGroup,
@@ -16,8 +16,6 @@ from mixlab.errors import (
 from mixlab.mixtures import SIMPLEX_ATOL
 from mixlab.records import (
     BenchmarkSpec,
-    _fast_record,
-    _parse_record_line,
     bundled_suite,
     by_id,
     parse_records,
@@ -28,6 +26,7 @@ from mixlab.records import (
     table2_printed_summary,
     weighted_aggregate,
 )
+from tests.records_reference import parse_each_line
 
 
 @pytest.fixture(scope="module")
@@ -205,16 +204,17 @@ class TestReadRecords:
         assert records == parse_records(lines)
 
 
-# --- fast path against the per-line parser -----------------------------------
-# Every line goes through records._fast_record, and through the per-line parser
-# when the fast path returns None: the two must together behave exactly as the
-# per-line parser alone, on clean lines and on every defect below.
+# --- the parser against the per-line reference ------------------------------
+# parse_records checks in bulk and with exact types; on clean lines and on every
+# defect below it must behave exactly as tests/records_reference.py, the
+# per-line parser with one isinstance check at a time: the same records, or the
+# same error on the same line.
 
 DIFF_SUITE = [BenchmarkSpec("in-a", 3, "in"), BenchmarkSpec("in-b", 2, "in"), BenchmarkSpec("out-a", 5, "out")]
 DIFF_NAMES = [b.name for b in DIFF_SUITE]
 RECORD_KEYS = ("id", "datasets", "weights", "scores", "step")
 WEIGHT_DEFECTS = ("int weights", "non-finite weight", "negative zero weights", "sum off by the tolerance",
-                  "huge int", "negative weight")
+                  "huge int", "huge float", "negative weight")
 OBJECT_DEFECTS = WEIGHT_DEFECTS + (
     "unsorted labels", "repeated label", "bool label", "label below 1", "bool step", "float step",
     "extra key", "missing key", "NaN score", "wrong type", "score out of range",
@@ -271,6 +271,8 @@ def record_values(draw, kind):
             weights[position] = 10**400
         else:
             scores[name] = 10**400
+    elif kind == "huge float":  # finite floats whose sum overflows
+        obj["weights"] = [1e308, 1e308] + weights[2:]
     elif kind == "negative weight":
         weights[position] = -weights[position] or -0.5
     elif kind == "unsorted labels":
@@ -351,20 +353,35 @@ def outcome(parse):
         return type(exc), str(exc), getattr(exc, "line_number", None)
 
 
-def parse_each_line(lines, known):
-    return [_parse_record_line(line, n, known) for n, line in enumerate(lines, start=1) if line.strip()]
+# defects that a random draw of these sizes can miss, checked on every run
+RARE_DEFECTS = [
+    '{"id": "a", "datasets": [1], "scores": {}}\n',
+    '{"id": "a", "datasets": [true], "weights": null, "scores": {}}\n',
+    '{"id": "a", "datasets": [1, 1], "weights": null, "scores": {}}\n',
+    '{"id": "a", "datasets": [1], "weights": [1], "scores": {}}\n',
+    '{"id": "a", "datasets": [1, 2], "weights": [0.5, 0.4], "scores": {}}\n',
+    '{"id": "a", "datasets": [1], "weights": [0.5, 0.5], "scores": {}}\n',
+    '{"id": "a", "datasets": [1], "weights": null, "scores": {"in-a": 0.5, "in-b": NaN}}\n',
+    '{"id": "a", "datasets": [1, 2], "weights": [1e308, 1e308], "scores": {}}\n',
+]
 
 
+def on_rare_defects(test):
+    """``test`` with each line of RARE_DEFECTS, as a one-line file, among its examples."""
+    for line in RARE_DEFECTS:
+        test = example(lines=[line], with_suite=False)(test)
+    return test
+
+
+@on_rare_defects
 @settings(max_examples=500, deadline=None)
 @given(lines=DEFECTIVE_LINES, with_suite=st.booleans())
-def test_fast_path_accepts_only_what_the_parser_accepts(lines, with_suite):
-    known = set(DIFF_NAMES) if with_suite else None
-    for line_number, line in enumerate(lines, start=1):
-        fast = _fast_record(line, known)
-        if fast is not None:
-            assert outcome(lambda: [fast]) == outcome(lambda: [_parse_record_line(line, line_number, known)])
+def test_defective_lines_parse_as_the_reference(lines, with_suite):
+    suite, known = (DIFF_SUITE, set(DIFF_NAMES)) if with_suite else (None, None)
+    assert outcome(lambda: parse_records(lines, suite=suite)) == outcome(lambda: parse_each_line(lines, known))
 
 
+@on_rare_defects
 @settings(max_examples=150, deadline=None)
 @given(lines=record_files(), with_suite=st.booleans())
 def test_parse_records_equals_the_per_line_parser(lines, with_suite):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import MixLabError
-from .grpo import GrpoConfig, train_with_mixture
+from .grpo import GrpoConfig, run_streams, train_with_mixture
 from .heuristics import AlphaConfig, alpha_weights, colinearity_weights, leave_one_out_weights
 from .mixtures import format_mixture, read_mixture_file
 from .pipeline import pipeline_config_from_dict, run_full, write_report
@@ -231,15 +231,18 @@ def _note_seed(seed) -> None:
 def _cmd_aggregate(args) -> int:
     suite = _load_suite(args.suite)
     records = read_records(args.records, suite=suite)
+    summaries = summarize(records, suite)
+    # the records go before the rows are printed: kept alive with the summaries, they leave
+    # pymalloc's arenas more fragmented for later commands in the same process
+    ids = [record.id for record in records]
+    del records
     if args.pretty:
         print(f"{'id':<16} {'in-score':>9} {'out-score':>9}")
-        for record in records:
-            s = summarize(record, suite)
-            print(f"{record.id:<16} {s.in_score:>9.4f} {s.out_score:>9.4f}")
+        for rid, s in zip(ids, summaries):
+            print(f"{rid:<16} {s.in_score:>9.4f} {s.out_score:>9.4f}")
     else:
-        for record in records:
-            s = summarize(record, suite)
-            print(json.dumps({"id": record.id, "in_score": s.in_score, "out_score": s.out_score}))
+        for rid, s in zip(ids, summaries):
+            print(json.dumps({"id": rid, "in_score": s.in_score, "out_score": s.out_score}))
     return 0
 
 
@@ -302,7 +305,8 @@ def _cmd_sample(args) -> int:
         pool_sizes = [int(p) for p in args.pools.split(",") if p.strip()]
     except ValueError as exc:
         raise UsageError(f"--pools must be comma-separated integers: {exc}") from exc
-    state = sampler_init(pool_sizes, weights, seed=seed, renormalize=args.renormalize)
+    # a run's data stream, so this prints what `simulate --seed` on these pools trains on
+    state = sampler_init(pool_sizes, weights, seed=run_streams(seed)[0], renormalize=args.renormalize)
     for domain, item in stream(state, max_steps=args.max_steps):
         print(f"({domain},{item})")
     return 0

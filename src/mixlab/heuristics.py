@@ -37,7 +37,7 @@ from .errors import (
     MixLabWarning,
 )
 from .mixtures import MixtureWeights, normalize_to_simplex
-from .records import BenchmarkSpec, PerformanceRecord, bundled_suite, weighted_aggregate
+from .records import BenchmarkSpec, PerformanceRecord, weighted_aggregate
 from .surrogate import ridge_fit
 
 # Affine transform constants mapping normalized exclude-one scores to raw
@@ -78,10 +78,6 @@ def _infer_m(records: Sequence[PerformanceRecord], m: int | None) -> int:
     return max(labels)
 
 
-def _out_score(record: PerformanceRecord, suite: Sequence[BenchmarkSpec]) -> float:
-    return weighted_aggregate(record.scores, suite, "out")
-
-
 def _min_max(values: np.ndarray, what: str) -> np.ndarray | None:
     """Min-max normalize; None signals the all-equal degenerate case."""
     spread = values.max() - values.min()
@@ -104,9 +100,10 @@ def score_sums(
     """Accumulate per-dataset In/Out sums, damping single-dataset records."""
     s_in = np.zeros(m)
     s_out = np.zeros(m)
-    for record in records:
-        in_score = weighted_aggregate(record.scores, suite, "in")
-        out_score = weighted_aggregate(record.scores, suite, "out")
+    score_rows = [record.scores for record in records]
+    in_scores = weighted_aggregate(score_rows, suite, "in")
+    out_scores = weighted_aggregate(score_rows, suite, "out")
+    for record, in_score, out_score in zip(records, in_scores, out_scores):
         if len(record.datasets) == 1:
             in_score *= cfg.alpha_single
             out_score *= cfg.alpha_single
@@ -122,7 +119,8 @@ def alpha_weights(
     records: Sequence[PerformanceRecord],
     cfg: AlphaConfig = AlphaConfig(),
     m: int | None = None,
-    suite: Sequence[BenchmarkSpec] | None = None,
+    *,
+    suite: Sequence[BenchmarkSpec],
 ) -> MixtureWeights:
     """Blend min-max normalized In/Out score sums into mixture weights.
 
@@ -132,8 +130,6 @@ def alpha_weights(
     records = [r for r in records if r.weights is not None]
     if not records:
         raise EmptyRecords("no records to accumulate")
-    if suite is None:
-        suite = bundled_suite()
     m = _infer_m(records, m)
     seen = {d for r in records for d in r.datasets}
     missing = sorted(set(range(1, m + 1)) - seen)
@@ -154,7 +150,8 @@ def colinearity_weights(
     records: Sequence[PerformanceRecord],
     lam: float = 1e-3,
     m: int | None = None,
-    suite: Sequence[BenchmarkSpec] | None = None,
+    *,
+    suite: Sequence[BenchmarkSpec],
 ) -> MixtureWeights:
     """Ridge-regress Out-Score on participation indicators, deflate by VIF.
 
@@ -165,18 +162,15 @@ def colinearity_weights(
     records = [r for r in records if r.weights is not None]
     if not records:
         raise EmptyRecords("no records to regress on")
-    if suite is None:
-        suite = bundled_suite()
     m = _infer_m(records, m)
 
     X = np.zeros((len(records), m))
-    y = np.zeros(len(records))
     for row, record in enumerate(records):
         for label in record.datasets:
             if not 1 <= label <= m:
                 raise MixLabError(f"record {record.id!r} uses dataset label {label} > m={m}")
             X[row, label - 1] = 1.0
-        y[row] = _out_score(record, suite)
+    y = np.array(weighted_aggregate([record.scores for record in records], suite, "out"))
 
     # ridge_fit validates lam > 0, which is what rules out a singular system
     beta = ridge_fit(X, y, lam)
@@ -191,7 +185,8 @@ def colinearity_weights(
 def leave_one_out_weights(
     records: Sequence[PerformanceRecord],
     m: int | None = None,
-    suite: Sequence[BenchmarkSpec] | None = None,
+    *,
+    suite: Sequence[BenchmarkSpec],
 ) -> MixtureWeights:
     """Weight each dataset by the exclude-one run that left it out.
 
@@ -201,8 +196,6 @@ def leave_one_out_weights(
     before normalization.
     """
     records = [r for r in records if r.weights is not None]
-    if suite is None:
-        suite = bundled_suite()
     m = _infer_m(records, m)
     if m < 2:
         raise EmptyRecords("leave-one-out weighting needs at least two datasets")
@@ -224,7 +217,8 @@ def leave_one_out_weights(
     if absent:
         raise MissingCombination(f"no exclude-one record for datasets {absent}")
 
-    out_scores = np.array([_out_score(by_missing[label], suite) for label in range(1, m + 1)])
+    excluded = [by_missing[label].scores for label in range(1, m + 1)]
+    out_scores = np.array(weighted_aggregate(excluded, suite, "out"))
     normalized = _min_max(out_scores, "exclude-one out scores")
     if normalized is None:
         return MixtureWeights(tuple([1.0 / m] * m))

@@ -224,7 +224,7 @@ def run_full(config: PipelineConfig, refine_rounds: int = 0) -> PipelineReport:
     if config.records_path is not None:
         from .records import read_records
 
-        fitting_records = read_records(config.records_path, suite=world.suite())
+        fitting_records = read_records(config.records_path, suite=world.benchmarks)
         for record in fitting_records:
             if record.weights is not None and record.weights.m != world.m:
                 raise DimensionMismatch(
@@ -265,7 +265,7 @@ def _refine_and_verify(
     streams, ids and proposals of a refinement round never depend on a
     verification, so intermediate ones would be trained and thrown away.
     """
-    suite = world.suite()
+    suite = world.benchmarks
     fitting = list(fitting_records)
     result = propose(fitting, config.fit, config.proposal, suite=suite)
     for round_index in range(done, done + rounds):
@@ -278,10 +278,8 @@ def _refine_and_verify(
     to_verify.append(("uniform", uniform))
     verification_records = _run_all(world, plan_phase(config, "verify", to_verify))
     n = config.verify_seeds
-    realized = [
-        tuple(weighted_aggregate(r.scores, suite, "out") for r in verification_records[c * n : (c + 1) * n])
-        for c in range(len(to_verify))
-    ]
+    out_scores = weighted_aggregate([r.scores for r in verification_records], suite, "out")
+    realized = [tuple(out_scores[c * n : (c + 1) * n]) for c in range(len(to_verify))]
     proposals = tuple(
         ProposalRow(weights=mixture, predicted=score, realized=realized[c])
         for c, (mixture, score) in enumerate(result.candidates)

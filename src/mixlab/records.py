@@ -69,38 +69,43 @@ class PerformanceRecord:
     step: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreSummary:
     in_score: float
     out_score: float
 
 
 def weighted_aggregate(
-    scores: Mapping[str, float],
+    score_rows: Sequence[Mapping[str, float]],
     suite: Sequence[BenchmarkSpec],
     group: str,
-) -> float:
-    """Sample-count-weighted average score over one benchmark group.
+) -> list[float]:
+    """Sample-count-weighted average score over one benchmark group, for each mapping in order.
 
-    Every group member must be present in ``scores``; missing benchmarks are
-    an error rather than a silent reweighting, because dropping a benchmark
-    would change the aggregate invisibly.
+    Every group member must be present in each mapping; missing benchmarks
+    are an error rather than a silent reweighting, because dropping a
+    benchmark would change the aggregate invisibly.  An empty batch is ``[]``
+    whatever the group.
     """
+    if not score_rows:
+        return []
     members = [b for b in suite if b.group == group]
     if not members:
         raise EmptyGroup(f"no benchmarks in group {group!r}")
-    missing = [b.name for b in members if b.name not in scores]
-    if missing:
-        raise MissingBenchmark(f"missing scores for {missing} in group {group!r}")
     total = sum(b.count for b in members)
-    return math.fsum(b.count * scores[b.name] for b in members) / total
+    try:
+        return [math.fsum(b.count * scores[b.name] for b in members) / total for scores in score_rows]
+    except KeyError:
+        scores = next(s for s in score_rows if not all(b.name in s for b in members))
+        missing = [b.name for b in members if b.name not in scores]
+        raise MissingBenchmark(f"missing scores for {missing} in group {group!r}") from None
 
 
-def summarize(record: PerformanceRecord, suite: Sequence[BenchmarkSpec]) -> ScoreSummary:
-    return ScoreSummary(
-        in_score=weighted_aggregate(record.scores, suite, "in"),
-        out_score=weighted_aggregate(record.scores, suite, "out"),
-    )
+def summarize(records: Sequence[PerformanceRecord], suite: Sequence[BenchmarkSpec]) -> list[ScoreSummary]:
+    """Each record's In- and Out-score, in order."""
+    score_rows = [record.scores for record in records]
+    return list(map(ScoreSummary, weighted_aggregate(score_rows, suite, "in"),
+                    weighted_aggregate(score_rows, suite, "out")))
 
 
 # --- JSONL record schema -----------------------------------------------------

@@ -116,7 +116,8 @@ def propose(
     records: Sequence[PerformanceRecord],
     fit_config: FitConfig = FitConfig(),
     proposal_config: ProposalConfig = ProposalConfig(),
-    suite: Sequence[BenchmarkSpec] | None = None,
+    *,
+    suite: Sequence[BenchmarkSpec],
 ) -> ProposalResult:
     """Full proposal loop: cross-validated surrogate fit, then sample and rank.
 

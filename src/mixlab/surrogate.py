@@ -23,7 +23,7 @@ import numpy as np
 from .config import check_types
 from .errors import DimensionMismatch, InsufficientRecords, SingularSystem, ZeroVariance
 from .mixtures import MixtureWeights
-from .records import BenchmarkSpec, PerformanceRecord, bundled_suite, weighted_aggregate
+from .records import BenchmarkSpec, PerformanceRecord, weighted_aggregate
 
 
 def quadratic_pairs(m: int) -> list[tuple[int, int]]:
@@ -215,38 +215,34 @@ class FitReport:
 def fitting_rows(
     records: Sequence[PerformanceRecord],
     target: str,
-    suite: Sequence[BenchmarkSpec] | None = None,
+    *,
+    suite: Sequence[BenchmarkSpec],
 ) -> tuple[list[MixtureWeights], np.ndarray]:
     """Extract (mixture, target score) pairs from records that carry weights.
 
     Records without an explicit weight vector are skipped: they can't anchor a
     point on the simplex.
     """
-    if suite is None and target in ("in", "out"):
-        suite = bundled_suite()
-    mixtures: list[MixtureWeights] = []
-    values: list[float] = []
-    for record in records:
-        if record.weights is None:
-            continue
-        if mixtures and record.weights.m != mixtures[0].m:
+    weighted = [record for record in records if record.weights is not None]
+    for record in weighted:
+        if record.weights.m != weighted[0].weights.m:
             raise DimensionMismatch(
                 f"record {record.id!r} has {record.weights.m} weights, "
-                f"the first weighted record has {mixtures[0].m}")
-        mixtures.append(record.weights)
-        if target in ("in", "out"):
-            values.append(weighted_aggregate(record.scores, suite, target))
-        else:
-            if target not in record.scores:
-                raise DimensionMismatch(f"record {record.id!r} has no score for {target!r}")
-            values.append(record.scores[target])
-    return mixtures, np.asarray(values, dtype=float)
+                f"the first weighted record has {weighted[0].weights.m}")
+        if target not in ("in", "out") and target not in record.scores:
+            raise DimensionMismatch(f"record {record.id!r} has no score for {target!r}")
+    if target in ("in", "out"):
+        values = weighted_aggregate([record.scores for record in weighted], suite, target)
+    else:
+        values = [record.scores[target] for record in weighted]
+    return [record.weights for record in weighted], np.asarray(values, dtype=float)
 
 
 def cross_validated_fit(
     records: Sequence[PerformanceRecord],
     config: FitConfig = FitConfig(),
-    suite: Sequence[BenchmarkSpec] | None = None,
+    *,
+    suite: Sequence[BenchmarkSpec],
 ) -> tuple[SurrogateModel, FitReport]:
     """Fit on random train/test splits and keep the split with best test R^2.
 

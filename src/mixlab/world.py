@@ -6,7 +6,8 @@ of tasks drawn from its own skill distribution; domains may overlap (shared
 skills make their training data partly redundant, which is what gives the
 mixture -> outcome map genuine interaction structure).  Benchmarks are skill
 distributions tagged in/out; out benchmarks may cover skills no domain
-trains on.
+trains on.  Each is a suite entry (``BenchmarkSpec``), so ``world.benchmarks``
+is the suite the world's records are scored on.
 
 Evaluation is exact: a benchmark's score is the probability mass of skills
 whose argmax action matches the answer key, so repeated evaluation of the
@@ -25,17 +26,12 @@ from .errors import InvalidSpec
 from .records import BenchmarkSpec
 
 
-@dataclass(frozen=True)
-class BenchmarkDef:
-    """A named skill distribution with an in/out tag and a pseudo sample count."""
+@dataclass(frozen=True, kw_only=True)
+class BenchmarkDef(BenchmarkSpec):
+    """A suite entry that is also a named skill distribution; ``count`` is a pseudo sample count."""
 
-    name: str
-    group: str
     skill_weights: tuple[float, ...]
     count: int = 1000
-
-    def __post_init__(self):
-        check_types(self)
 
     @classmethod
     def uniform_over(cls, name: str, group: str, skills: Sequence[int], k: int, **fields) -> "BenchmarkDef":
@@ -86,6 +82,9 @@ class WorldSpec:
                 if not skills or any(not 0 <= s < self.k for s in skills):
                     raise InvalidSpec("domain skill sets must be non-empty and within range")
         if self.benchmarks is not None:
+            names = [bench.name for bench in self.benchmarks]
+            if len(set(names)) != len(names):
+                raise InvalidSpec("benchmark names must be unique within a world")
             for bench in self.benchmarks:
                 weights = np.asarray(bench.skill_weights)
                 if weights.shape != (self.k,) or abs(weights.sum() - 1.0) > 1e-9 or (weights < 0).any():
@@ -111,9 +110,6 @@ class SyntheticWorld:
     @property
     def A(self) -> int:
         return self.spec.A
-
-    def suite(self) -> list[BenchmarkSpec]:
-        return [BenchmarkSpec(name=b.name, count=b.count, group=b.group) for b in self.benchmarks]
 
     def task(self, domain: int, item: int) -> tuple[int, int]:
         """(skill, gold answer) of one pooled task."""

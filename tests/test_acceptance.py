@@ -49,12 +49,12 @@ def test_c1_results_table_aggregation_reproduction():
     assert len(fixture) == 42
     worst = 0.0
     for record in fixture:
-        got = summarize(record, suite)
+        got = summarize([record], suite)[0]
         want = printed[record.id]
         worst = max(worst, abs(got.in_score - want.in_score), abs(got.out_score - want.out_score))
         assert got.in_score == pytest.approx(want.in_score, abs=1e-3), record.id
         assert got.out_score == pytest.approx(want.out_score, abs=1e-3), record.id
-    spot = {r.id: summarize(r, suite) for r in fixture}
+    spot = {r.id: summarize([r], suite)[0] for r in fixture}
     assert spot["Base"].out_score == pytest.approx(0.3059, abs=1e-3)
     assert spot["12345"].in_score == pytest.approx(0.5638, abs=1e-3)
     assert spot["4"].out_score == pytest.approx(0.4915, abs=1e-3)
@@ -128,8 +128,8 @@ def test_c4_surrogate_recovery_and_nested_models():
         assert lo < hi
 
     seed_rows = [r for r in table2_fixture() if r.weights is not None]
-    _, lin_t2 = cross_validated_fit(seed_rows, FitConfig(degree=1, seed=2))
-    _, quad_t2 = cross_validated_fit(seed_rows, FitConfig(degree=2, seed=2))
+    _, lin_t2 = cross_validated_fit(seed_rows, FitConfig(degree=1, seed=2), suite=bundled_suite())
+    _, quad_t2 = cross_validated_fit(seed_rows, FitConfig(degree=2, seed=2), suite=bundled_suite())
     for lo, hi in zip(lin_t2.train_r2, quad_t2.train_r2):
         if not (math.isnan(lo) or math.isnan(hi)):
             assert hi >= lo - 1e-12

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from mixlab.cli import dispatch
-from mixlab.grpo import GrpoConfig, train_with_mixture
+from mixlab.grpo import GrpoConfig, RunSpec, _task_streams, train_with_mixture
 from mixlab.mixtures import MixtureWeights, parse_mixture, write_mixture_file
 from mixlab.records import serialize_record, table2_fixture, write_records
 from mixlab.world import BenchmarkDef, WorldSpec, make_world
@@ -234,6 +234,18 @@ class TestSample:
         assert len(lines) == 6
         assert all(line.startswith("(") and line.endswith(")") for line in lines)
 
+    def test_prints_the_stream_a_run_trains_on(self, capsys, mixture_file):
+        world = make_world(WorldSpec(m=2, k=40, A=2, pool_sizes=(30, 30), overlap=0.0), 0)
+        for seed in range(5):
+            code, out, _ = run_cli(capsys, "sample", "--weights", str(mixture_file), "--pools", "30,30",
+                                   "--seed", str(seed), "--max-steps", "8")
+            assert code == 0
+            items = [map(int, line.strip("()").split(",")) for line in out.splitlines()]
+            printed = [int(world.pools[domain][item]) for domain, item in items]
+            run = RunSpec(MixtureWeights((0.5, 0.5)), seed)
+            _, skills, *_ = _task_streams(world, [run], GrpoConfig(steps=8))
+            assert printed == skills[0].tolist(), seed
+
     def test_deterministic(self, capsys, mixture_file):
         args = ("sample", "--weights", str(mixture_file), "--pools", "4,4", "--seed", "5")
         _, first, _ = run_cli(capsys, *args)
@@ -296,6 +308,19 @@ class TestSimulate:
         )
         record = train_with_mixture(make_world(spec, 0), MixtureWeights((0.5, 0.5)), GrpoConfig(), 4)
         assert out_path.read_text() == serialize_record(record) + "\n"
+
+    def test_repeated_benchmark_name_is_data_error(self, capsys, mixture_file, tmp_path):
+        world_path, out_path = tmp_path / "world.json", tmp_path / "records.jsonl"
+        world_path.write_text(json.dumps({
+            "m": 2, "k": 4, "A": 2, "pool_sizes": [10, 10],
+            "benchmarks": [{"name": "a", "group": "in", "skills": [0]},
+                           {"name": "a", "group": "out", "skills": [3]}],
+        }))
+        code, out, err = run_cli(capsys, "simulate", "--world", str(world_path), "--weights", str(mixture_file),
+                                 "--steps", "5", "--seed", "0", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert "error: benchmark names must be unique" in err
+        assert not out_path.exists()
 
 
 PIPELINE_ARTIFACTS = ("records.jsonl", "model.json", "report.json", "summary.txt")
@@ -408,6 +433,13 @@ class TestPipelineCommand:
     (["propose", "--records", "{records}", "--jitter", "nan"], {}, "jitter"),
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"],
      {"proposal": {"n_samples": 200, "k": 2, "seed": 1, "jitter": 1e400}}, "jitter"),
+    # world benchmarks follow the suite rules, checked before any training
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"],
+     {"world": {**PIPELINE_WORLD, "benchmarks": [{"name": "b", "group": "mid", "skills": [0, 1]}]}},
+     "group must be one of"),
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"],
+     {"world": {**PIPELINE_WORLD, "benchmarks": [{"name": "b", "group": "out", "skills": [0, 1], "count": 0}]}},
+     "positive sample count"),
 ])
 def test_bad_option_is_usage_error(capsys, tmp_path, fixture_file, world_file, mixture_file,
                                    pipeline_config_file, argv, config_changes, message):

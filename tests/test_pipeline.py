@@ -133,7 +133,7 @@ class TestRunFull:
         import math
 
         records = report.fitting_records
-        suite = make_world(small_spec(), 3).suite()
+        suite = make_world(small_spec(), 3).benchmarks
         _, linear = cross_validated_fit(records, FitConfig(degree=1, seed=4), suite=suite)
         _, quad = cross_validated_fit(records, FitConfig(degree=2, seed=4), suite=suite)
         compared = 0

@@ -42,37 +42,56 @@ def fixture():
 class TestWeightedAggregate:
     def test_base_out(self, suite):
         scores = {"ChartQA": 0.236, "InfoVQA": 0.3144, "MathVista": 0.391, "MMMU": 0.3789}
-        assert weighted_aggregate(scores, suite, "out") == pytest.approx(0.3059, abs=5e-4)
+        assert weighted_aggregate([scores], suite, "out")[0] == pytest.approx(0.3059, abs=5e-4)
 
     def test_all_mixture_in(self, suite):
         scores = {"LISA": 0.4778, "SAT": 0.5737, "ScienceQA": 0.6991}
-        assert weighted_aggregate(scores, suite, "in") == pytest.approx(0.5638, abs=5e-4)
+        assert weighted_aggregate([scores], suite, "in")[0] == pytest.approx(0.5638, abs=5e-4)
 
     def test_single_benchmark_group(self):
         suite = [BenchmarkSpec("only", 17, "out")]
-        assert weighted_aggregate({"only": 0.42}, suite, "out") == 0.42
+        assert weighted_aggregate([{"only": 0.42}], suite, "out")[0] == 0.42
 
     def test_missing_benchmark(self, suite):
         with pytest.raises(MissingBenchmark):
-            weighted_aggregate({"ChartQA": 0.5}, suite, "out")
+            weighted_aggregate([{"ChartQA": 0.5}], suite, "out")[0]
 
     def test_empty_group(self):
         with pytest.raises(EmptyGroup):
-            weighted_aggregate({}, [BenchmarkSpec("x", 1, "in")], "out")
+            weighted_aggregate([{}], [BenchmarkSpec("x", 1, "in")], "out")[0]
 
     def test_convex_combination(self, suite, fixture):
         for record in fixture:
             out = [record.scores[b.name] for b in suite if b.group == "out"]
-            value = weighted_aggregate(record.scores, suite, "out")
+            value = weighted_aggregate([record.scores], suite, "out")[0]
             assert min(out) <= value <= max(out)
 
     def test_permutation_invariance(self, suite):
         scores = {"ChartQA": 0.1, "InfoVQA": 0.9, "MathVista": 0.3, "MMMU": 0.7}
         values = {
-            weighted_aggregate(scores, list(perm), "out")
+            weighted_aggregate([scores], list(perm), "out")[0]
             for perm in itertools.permutations(suite)
         }
         assert len(values) == 1
+
+    def test_batch_matches_each_mapping(self, suite, fixture):
+        rows = [record.scores for record in fixture]
+        for group in ("in", "out"):
+            members = [b for b in suite if b.group == group]
+            total = sum(b.count for b in members)
+            want = [math.fsum(b.count * scores[b.name] for b in members) / total for scores in rows]
+            got = weighted_aggregate(rows, suite, group)
+            assert len(got) == len(want) == 42
+            assert all(g == w for g, w in zip(got, want))
+
+    def test_empty_batch_needs_no_group(self):
+        assert weighted_aggregate([], [BenchmarkSpec("x", 1, "in")], "out") == []
+
+    def test_missing_benchmark_names_the_first_faulty_mapping(self, suite):
+        full = {"ChartQA": 0.1, "InfoVQA": 0.9, "MathVista": 0.3, "MMMU": 0.7}
+        rows = [full, {"ChartQA": 0.5, "InfoVQA": 0.5, "MathVista": 0.5}, {"ChartQA": 0.5}]
+        with pytest.raises(MissingBenchmark, match=r"\['MMMU'\] in group 'out'"):
+            weighted_aggregate(rows, suite, "out")
 
 
 class TestFixture:
@@ -89,7 +108,7 @@ class TestFixture:
         printed = table2_printed_summary()
         assert set(printed) == {r.id for r in fixture}
         for record in fixture:
-            got = summarize(record, suite)
+            got = summarize([record], suite)[0]
             want = printed[record.id]
             assert got.in_score == pytest.approx(want.in_score, abs=1e-3), record.id
             assert got.out_score == pytest.approx(want.out_score, abs=1e-3), record.id
@@ -188,7 +207,7 @@ class TestParseRecords:
 
 def test_summary_within_group_range(suite):
     record = table2_fixture()[0]
-    summary = summarize(record, suite)
+    summary = summarize([record], suite)[0]
     in_scores = [record.scores[b.name] for b in suite if b.group == "in"]
     assert min(in_scores) <= summary.in_score <= max(in_scores)
 

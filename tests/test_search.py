@@ -5,7 +5,7 @@ import pytest
 
 from mixlab.errors import EmptyCandidates, MixLabError, NoSurvivors, TooFewPoints
 from mixlab.mixtures import MixtureWeights, validate
-from mixlab.records import table2_fixture
+from mixlab.records import bundled_suite, table2_fixture
 from mixlab.search import (
     GaussianModel,
     ProposalConfig,
@@ -127,6 +127,7 @@ class TestPropose:
             seed_records,
             FitConfig(degree=2, seed=0),
             ProposalConfig(n_samples=500, k=10, jitter=1e-4, seed=0),
+            suite=bundled_suite(),
         )
         assert len(result.candidates) == 10
         for mixture, _ in result.candidates:
@@ -138,6 +139,7 @@ class TestPropose:
         kwargs = dict(
             fit_config=FitConfig(degree=2, seed=5),
             proposal_config=ProposalConfig(n_samples=300, k=5, jitter=1e-4, seed=5),
+            suite=bundled_suite(),
         )
         a = propose(seed_records, **kwargs)
         b = propose(seed_records, **kwargs)
@@ -175,6 +177,7 @@ class TestPropose:
             seed_records,
             FitConfig(degree=2, seed=0),
             ProposalConfig(n_samples=100, k=0, seed=0),
+            suite=bundled_suite(),
         )
         assert result.candidates == []
         assert result.model is not None

@@ -6,7 +6,7 @@ import pytest
 from mixlab.errors import DimensionMismatch, InsufficientRecords, SingularSystem, ZeroVariance
 from mixlab.mixtures import MixtureWeights, normalize_to_simplex
 from mixlab.pipeline import plan_seed_mixtures
-from mixlab.records import BenchmarkSpec, PerformanceRecord, table2_fixture
+from mixlab.records import BenchmarkSpec, PerformanceRecord, bundled_suite, table2_fixture
 from mixlab.surrogate import (
     FitConfig,
     SurrogateModel,
@@ -225,8 +225,8 @@ class TestCrossValidatedFit:
     def test_nested_models_on_bundled_seed_rows(self):
         records = [r for r in table2_fixture() if r.weights is not None]
         assert len(records) == 11
-        _, lin = cross_validated_fit(records, FitConfig(degree=1, seed=3))
-        _, quad = cross_validated_fit(records, FitConfig(degree=2, seed=3))
+        _, lin = cross_validated_fit(records, FitConfig(degree=1, seed=3), suite=bundled_suite())
+        _, quad = cross_validated_fit(records, FitConfig(degree=2, seed=3), suite=bundled_suite())
         # identical seed gives identical splits, so train R^2 compares row-wise
         for lo, hi in zip(lin.train_r2, quad.train_r2):
             assert hi >= lo - 1e-12

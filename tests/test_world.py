@@ -6,6 +6,7 @@ import pytest
 from mixlab.errors import InvalidSpec
 from mixlab.grpo import GrpoConfig, train_with_mixture
 from mixlab.mixtures import MixtureWeights
+from mixlab.records import BenchmarkSpec
 from mixlab.world import (
     BenchmarkDef,
     WorldSpec,
@@ -36,6 +37,25 @@ class TestWorldSpec:
     def test_rejects_out_of_range_domain_skills(self):
         with pytest.raises(InvalidSpec):
             WorldSpec(m=1, k=4, A=2, pool_sizes=(4,), domain_skills=((7,),))
+
+    def test_rejects_repeated_benchmark_name(self):
+        # one score per name: the in benchmark would be read off the out one
+        benches = (BenchmarkDef.uniform_over("a", "in", [0], 2), BenchmarkDef.uniform_over("a", "out", [1], 2))
+        with pytest.raises(InvalidSpec, match="unique"):
+            WorldSpec(m=1, k=2, A=2, pool_sizes=(4,), benchmarks=benches)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"group": "mid"}, "group must be one of"),
+        ({"count": 0}, "positive sample count"),
+        ({"skill_weights": [0.5, 0.5]}, "skill_weights must be tuple"),
+    ])
+    def test_benchmarks_follow_the_suite_rules(self, fields, message):
+        with pytest.raises((ValueError, TypeError), match=message):
+            BenchmarkDef(**{"name": "b", "group": "out", "skill_weights": (0.5, 0.5), **fields})
+
+    def test_benchmark_is_a_suite_entry(self):
+        assert issubclass(BenchmarkDef, BenchmarkSpec)
+        assert BenchmarkDef(name="b", group="in", skill_weights=(1.0,)).count == 1000
 
 
 class TestMakeWorld:
@@ -94,7 +114,7 @@ class TestMakeWorld:
         spec = WorldSpec(m=2, k=8, A=2, pool_sizes=(5, 9))
         world = make_world(spec, seed=8)
         assert tuple(len(pool) for pool in world.pools) == (5, 9)
-        groups = {b.group for b in world.suite()}
+        groups = {b.group for b in world.benchmarks}
         assert groups == {"in", "out"}
 
 

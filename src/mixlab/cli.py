@@ -9,6 +9,7 @@ environment variable, so repeated runs are byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -131,7 +132,9 @@ def _load_suite(path: str | None):
     return read_suite(path) if path else bundled_suite()
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``mixlab`` parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="mixlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"mixlab {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)

@@ -36,11 +36,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import check_types, from_dict
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, EmptyGroup, MissingBenchmark
 from .grpo import GrpoConfig, RunSpec, train_runs
 from .grpo import train_with_mixture  # noqa: F401  (unused; perfbench/tracing.py patches this binding)
 from .mixtures import MixtureWeights, format_mixture, seed_all, seed_exclude_one, seed_single
-from .records import PerformanceRecord, weighted_aggregate, write_records
+from .records import BenchmarkSpec, PerformanceRecord, weighted_aggregate, write_records
 from .search import ProposalConfig, propose
 from .surrogate import FitConfig, FitReport, SurrogateModel, predict
 from .world import SyntheticWorld, WorldSpec, make_world, world_spec_from_dict
@@ -221,6 +221,7 @@ def run_full(config: PipelineConfig, refine_rounds: int = 0) -> PipelineReport:
     if refine_rounds < 0:
         raise ValueError(f"refine_rounds must be >= 0, got {refine_rounds}")
     world = make_world(config.world_spec, config.world_seed)
+    _check_scored(config.fit.target, world.benchmarks)
     if config.records_path is not None:
         from .records import read_records
 
@@ -234,6 +235,19 @@ def run_full(config: PipelineConfig, refine_rounds: int = 0) -> PipelineReport:
     else:
         fitting_records = run_seed_phase(config, world=world)
     return _refine_and_verify(config, world, fitting_records, 0, refine_rounds)
+
+
+def _check_scored(target: str, suite: Sequence[BenchmarkSpec]) -> None:
+    """Fail before any training when the fit target, or the "out" group verification scores, has no benchmark."""
+    if target in ("in", "out"):
+        groups = (target, "out")
+    elif any(b.name == target for b in suite):
+        groups = ("out",)
+    else:
+        raise MissingBenchmark(f"the fit target {target!r} names no benchmark of the world")
+    for group in groups:
+        if not any(b.group == group for b in suite):
+            raise EmptyGroup(f"no benchmarks in group {group!r}")
 
 
 def refine(report: PipelineReport, rounds: int) -> PipelineReport:

@@ -8,8 +8,16 @@ jitter is added before the Cholesky factorization; without it no factor
 exists.
 
 Sampling is reproducible across platforms: raw draws are
-``mean + Z @ L.T`` where ``L`` is the lower Cholesky factor and ``Z`` is one
-standard-normal block from numpy's seeded PCG64 generator.
+``mean + Z @ L.T`` where ``L`` is the lower Cholesky factor and ``Z`` holds
+standard-normal draws from numpy's seeded PCG64 generator.  The draws are
+made and filtered in blocks of ``_BLOCK_ROWS`` rows, so memory follows the
+block size and the survivor count, not ``n``.  The result equals one
+``(n, m)`` draw bit for bit: consecutive ``standard_normal`` calls continue
+one stream, and a matrix product of two or more rows (BLAS ``gemm``) gives
+each row the same result whatever the row count.  A one-row product goes
+through ``gemv``, which rounds differently, so a trailing one-row block is
+folded into the block before it.  ``tests/search_reference.py`` keeps the
+one-draw sampler the tests compare against.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from .records import BenchmarkSpec, PerformanceRecord
 from .surrogate import FitConfig, FitReport, SurrogateModel, cross_validated_fit, predict_many
 
 DEFAULT_JITTER = 1e-4
+_BLOCK_ROWS = 8192  # raw draws per block: the draw's memory follows the block, not n
 
 
 @dataclass(frozen=True)
@@ -77,21 +86,39 @@ def sample_candidates(
     n: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw n Gaussian samples, drop negatives, rescale survivors to sum 1: one row each."""
+    """Draw n Gaussian samples, drop negatives, rescale survivors to sum 1: one row each.
+
+    The n draws are made in blocks of ``_BLOCK_ROWS`` rows and each block is
+    filtered before the next is drawn; only the survivors are kept.  A block
+    takes one extra row rather than leave a one-row block behind it, so for
+    n > 1 no block's product runs through ``gemv``, and the rows equal those
+    of one ``(n, m)`` draw bit for bit (see the module docstring).
+    """
     try:
         chol = np.linalg.cholesky(gm.covariance)
     except np.linalg.LinAlgError as exc:
         raise MixLabError(
             "covariance is not positive definite; increase the jitter"
         ) from exc
-    z = rng.standard_normal((n, gm.mean.shape[0]))
-    raw = gm.mean + z @ chol.T
-    survivors = raw[(raw >= 0.0).all(axis=1)]
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    m = gm.mean.shape[0]
+    kept = []
+    done = 0
+    while done < n:
+        rows = min(_BLOCK_ROWS, n - done)
+        if n - done - rows == 1:
+            rows += 1
+        raw = gm.mean + rng.standard_normal((rows, m)) @ chol.T
+        kept.append(raw[(raw >= 0.0).all(axis=1)])
+        done += rows
+    survivors = np.concatenate(kept) if kept else np.empty((0, m))
     if survivors.shape[0] == 0:
         raise NoSurvivors(
             f"all {n} raw samples had a negative entry; enlarge n or the jitter"
         )
-    return survivors / survivors.sum(axis=1, keepdims=True)
+    survivors /= survivors.sum(axis=1, keepdims=True)
+    return survivors
 
 
 def rank_candidates(

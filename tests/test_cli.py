@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from mixlab.cli import dispatch
+from mixlab.cli import build_parser, dispatch
 from mixlab.grpo import GrpoConfig, RunSpec, _task_streams, train_with_mixture
 from mixlab.mixtures import MixtureWeights, parse_mixture, write_mixture_file
 from mixlab.records import serialize_record, table2_fixture, write_records
@@ -64,6 +64,22 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             dispatch(["--version"])
         assert exc.value.code == 0
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_flags_do_not_carry_over(self, capsys, fixture_file, monkeypatch):
+        monkeypatch.delenv("MIXLAB_SEED", raising=False)
+        _, plain, _ = run_cli(capsys, "aggregate", "--records", str(fixture_file))
+        _, pretty, _ = run_cli(capsys, "aggregate", "--records", str(fixture_file), "--pretty")
+        assert pretty != plain
+        assert run_cli(capsys, "aggregate", "--records", str(fixture_file)) == (0, plain, "")
+        _, seeded, err = run_cli(capsys, "fit", "--records", str(fixture_file), "--seed", "3")
+        assert "seed: 3" in err
+        code, out, err = run_cli(capsys, "fit", "--records", str(fixture_file))
+        assert code == 0 and "seed: 0" in err and out != seeded
 
 
 class TestAggregate:
@@ -366,6 +382,23 @@ class TestPipelineCommand:
             assert code == 0
             written.append([(out_dir / name).read_bytes() for name in PIPELINE_ARTIFACTS])
         assert written[0] == written[1]
+
+    def test_world_without_out_benchmarks_is_data_error_before_training(
+            self, capsys, tmp_path, pipeline_config_file, monkeypatch):
+        import mixlab.pipeline as pipeline
+
+        def fail(*args, **kwargs):
+            raise AssertionError("training started although verification scores nothing")
+
+        monkeypatch.setattr(pipeline, "train_runs", fail)
+        config = json.loads(pipeline_config_file.read_text())
+        pipeline_config_file.write_text(json.dumps({**config, "world": {**PIPELINE_WORLD, "benchmarks": []}}))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "pipeline", "--config", str(pipeline_config_file),
+                                 "--out-dir", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err.endswith("\nerror: no benchmarks in group 'out'\n")
+        assert not out_dir.exists()
 
     def test_negative_refine_rounds_is_usage_error(self, capsys, tmp_path, pipeline_config_file):
         out_dir = tmp_path / "out"

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import statistics
 
 import numpy as np
 import pytest
 
-from mixlab.errors import DimensionMismatch
+from mixlab.errors import DimensionMismatch, EmptyGroup, MissingBenchmark
 from mixlab.grpo import GrpoConfig, run_streams
 from mixlab.mixtures import MixtureWeights, seed_all
 from mixlab.pipeline import (
@@ -360,6 +361,35 @@ class TestRecordsPath:
         write_records(pilots, path)
         report = run_full(small_config(records_path=str(path)))
         assert [r.id for r in report.fitting_records] == [r.id for r in pilots]
+
+
+class TestScoredGroupsCheckedBeforeTraining:
+    IN_ONLY = small_spec().benchmarks[:2]
+    OUT_ONLY = small_spec().benchmarks[2:]
+
+    @pytest.mark.parametrize("benchmarks, target, error, message", [
+        ((), "out", EmptyGroup, "no benchmarks in group 'out'"),
+        (IN_ONLY, "out", EmptyGroup, "no benchmarks in group 'out'"),
+        (IN_ONLY, "in", EmptyGroup, "no benchmarks in group 'out'"),  # verification scores "out"
+        (IN_ONLY, "in-0", EmptyGroup, "no benchmarks in group 'out'"),
+        (OUT_ONLY, "in", EmptyGroup, "no benchmarks in group 'in'"),
+        (small_spec().benchmarks, "in-9", MissingBenchmark, "'in-9' names no benchmark"),
+    ])
+    def test_rejected_before_any_training(self, monkeypatch, benchmarks, target, error, message):
+        import mixlab.pipeline as pipeline
+
+        def fail(*args, **kwargs):
+            raise AssertionError("training started although nothing could be scored")
+
+        monkeypatch.setattr(pipeline, "train_runs", fail)
+        spec = dataclasses.replace(small_spec(), benchmarks=benchmarks)
+        config = small_config(world_spec=spec, fit=FitConfig(degree=2, n_splits=4, target=target, seed=1))
+        with pytest.raises(error, match=message):
+            run_full(config)
+
+    def test_benchmark_target_with_out_group_trains(self):
+        config = small_config(fit=FitConfig(degree=2, n_splits=4, target="in-0", seed=1))
+        assert len(run_full(config).proposals) == 3
 
 
 class TestConfigFromDict:

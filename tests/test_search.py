@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mixlab.errors import EmptyCandidates, MixLabError, NoSurvivors, TooFewPoints
+from mixlab import search
 from mixlab.mixtures import MixtureWeights, validate
 from mixlab.records import bundled_suite, table2_fixture
 from mixlab.search import (
@@ -15,6 +18,7 @@ from mixlab.search import (
     sample_candidates,
 )
 from mixlab.surrogate import FitConfig, SurrogateModel
+from tests import search_reference
 
 
 class TestFitGaussian:
@@ -80,6 +84,79 @@ class TestSampleCandidates:
         gm = GaussianModel(mean=np.zeros(2), covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(MixLabError):
             sample_candidates(gm, 10, np.random.default_rng(0))
+
+
+B = search._BLOCK_ROWS
+EDGE_ROWS = (0, 1, 2, B - 1, B, B + 1, B + 2, 2 * B + 1)
+
+
+def _gaussian(m, seed, scale=0.1, shift=0.0):
+    """A random m-dimensional Gaussian near the simplex; far below zero, so nothing survives, when shifted."""
+    rng = np.random.default_rng(seed)
+    root = scale * rng.standard_normal((m, m))
+    return GaussianModel(mean=rng.dirichlet(np.ones(m)) - shift, covariance=root @ root.T + 1e-4 * np.eye(m))
+
+
+gaussians = st.builds(_gaussian, m=st.integers(2, 10), seed=st.integers(0, 2**32 - 1),
+                      scale=st.sampled_from([0.01, 0.1, 0.5]), shift=st.sampled_from([0.0, 5.0]))
+
+
+def _outcome(sampler, gm, n, seed):
+    """The sampler's array, or the type and message of the toolkit error it raised."""
+    try:
+        return sampler(gm, n, np.random.default_rng(seed))
+    except MixLabError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gm=gaussians, n=st.one_of(st.sampled_from(EDGE_ROWS), st.integers(0, 3 * B)),
+       seed=st.integers(0, 2**32 - 1))
+@example(gm=_gaussian(2, 0), n=1, seed=0)
+# a trailing one-row block whose survivor gemv rounds away from gemm (found with OpenBLAS)
+@example(gm=_gaussian(3, 0), n=B + 1, seed=0)
+@example(gm=_gaussian(4, 2), n=B + 1, seed=2)
+@example(gm=_gaussian(4, 1), n=2 * B + 1, seed=1)
+@example(gm=_gaussian(3, 3), n=0, seed=3)
+@example(gm=_gaussian(4, 4, shift=5.0), n=B + 1, seed=4)
+def test_block_draws_equal_one_big_draw(gm, n, seed):
+    # the blocked sampler returns the one-draw reference's array bit for bit, or its error
+    got = _outcome(sample_candidates, gm, n, seed)
+    want = _outcome(search_reference.sample_candidates, gm, n, seed)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+def test_not_positive_definite_error_equals_reference():
+    gm = GaussianModel(mean=np.zeros(2), covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert _outcome(sample_candidates, gm, B + 1, 0) == _outcome(search_reference.sample_candidates, gm, B + 1, 0)
+
+
+def _traced_peak(sampler, gm, n):
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        result = sampler(gm, n, rng)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_follows_the_block_not_n():
+    # one block's draw, product and sum, the previous block, plus the survivors twice
+    # (the kept pieces and their concatenation): no term grows with n
+    m, n = 6, 25 * B
+    gm = GaussianModel(mean=np.full(m, 1.0 / m), covariance=0.0625 * np.eye(m))
+    survivors, peak = _traced_peak(sample_candidates, gm, n)
+    bound = 4 * B * m * 8 + 2 * survivors.nbytes + (64 << 10)
+    assert len(survivors) < n / 4
+    assert peak < bound
+    # the one-draw reference holds n-row arrays, so the bound is not met by chance
+    _, reference_peak = _traced_peak(search_reference.sample_candidates, gm, n)
+    assert reference_peak > 2 * bound
 
 
 class TestRankCandidates:

@@ -31,8 +31,8 @@ from .records import (
     serialize_record,
     summarize,
 )
+from .sampler import draw_streams
 from .sampler import init as sampler_init
-from .sampler import stream
 from .search import ProposalConfig, propose
 from .surrogate import FitConfig, cross_validated_fit
 from .world import make_world, world_spec_from_dict
@@ -176,8 +176,6 @@ def build_parser() -> _Parser:
     p.add_argument("--pools", required=True, help="comma-separated pool sizes")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-steps", type=_non_negative, default=None)
-    p.add_argument("--renormalize", action="store_true", default=False,
-                   help="drop exhausted domains instead of stopping")
 
     p = sub.add_parser("simulate",
                        help="train on a synthetic world and append one record")
@@ -308,10 +306,16 @@ def _cmd_sample(args) -> int:
         pool_sizes = [int(p) for p in args.pools.split(",") if p.strip()]
     except ValueError as exc:
         raise UsageError(f"--pools must be comma-separated integers: {exc}") from exc
-    # a run's data stream, so this prints what `simulate --seed` on these pools trains on
-    state = sampler_init(pool_sizes, weights, seed=run_streams(seed)[0], renormalize=args.renormalize)
-    for domain, item in stream(state, max_steps=args.max_steps):
-        print(f"({domain},{item})")
+    # a run's data stream, drawn as grpo._task_streams draws it, so this prints
+    # what `simulate --seed` on these pools trains on
+    state = sampler_init(pool_sizes, weights, seed=run_streams(seed)[0])
+    n = sum(pool_sizes) + 1  # a stream stops at the latest on the draw after its pools' last item
+    if args.max_steps is not None:
+        n = min(n, args.max_steps)
+    domains, ranks, lengths = draw_streams(
+        state.cumulative[None], state.weights[None], state.rng.random(n)[None], pool_sizes)
+    for domain, rank in zip(domains[0, :lengths[0]], ranks[0, :lengths[0]]):
+        print(f"({domain},{state.queues[domain][rank - 1]})")
     return 0
 
 

@@ -124,12 +124,6 @@ class InvalidPair(MixLabError):
     """A (prediction, gold) pair has the wrong types for its scoring mode."""
 
 
-# --- sampling ---------------------------------------------------------------
-
-class Exhausted(MixLabError):
-    """A domain pool ran out of unseen items before the requested draw count."""
-
-
 # --- synthetic world --------------------------------------------------------
 
 class InvalidSpec(MixLabError):

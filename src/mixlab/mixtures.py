@@ -151,10 +151,6 @@ def parse_mixture(line: str) -> MixtureWeights:
     return validate(values)
 
 
-def write_mixture_file(mixture: MixtureWeights, path: str | Path) -> None:
-    Path(path).write_text(format_mixture(mixture) + "\n")
-
-
 def read_mixture_file(path: str | Path) -> MixtureWeights:
     try:
         text = Path(path).read_text(encoding="utf-8")

@@ -314,7 +314,3 @@ def table2_printed_summary() -> dict[str, ScoreSummary]:
     text = (resources.files("mixlab") / "data" / "table2_summary.json").read_text(encoding="utf-8")
     raw = json.loads(text)
     return {rid: ScoreSummary(in_score=v[0], out_score=v[1]) for rid, v in raw.items()}
-
-
-def by_id(records: Sequence[PerformanceRecord]) -> dict[str, PerformanceRecord]:
-    return {r.id: r for r in records}

@@ -260,11 +260,3 @@ def score_pairs(lines: Iterable[str], weights: RewardWeights = DEFAULT_WEIGHTS) 
         except InvalidPair as exc:
             raise MalformedLine(line_number, str(exc)) from exc
     return results
-
-
-def mean_iou(breakdowns: Sequence[RewardBreakdown]) -> float:
-    """Mean IoU over box-task breakdowns (format failures count as 0)."""
-    values = [b.iou if b.iou is not None else 0.0 for b in breakdowns]
-    if not values:
-        return 0.0
-    return sum(values) / len(values)

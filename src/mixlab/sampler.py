@@ -3,9 +3,10 @@
 Each draw is two-stage: pick a domain with probability equal to its mixture
 weight (inverse CDF over the cumulative weights, one uniform variate per
 draw), then pop the next unseen item from that domain's pre-shuffled pool.
-The stream ends the first time the drawn domain's pool is empty; optionally
-the sampler can instead drop exhausted domains and renormalize, but the
-default follows the stop-on-exhaustion rule.
+The stream ends the first time the drawn domain's pool is empty.
+:func:`draw_streams` draws many such streams at once from bulk uniforms, as
+training and ``mixlab sample`` do; :func:`next_sample`, one draw at a time,
+is the per-draw reference the tests hold it to.
 
 The sampler sees a domain only as a pool size and a weight: an item is an
 index into its domain's pool.  All randomness comes from numpy's seeded PCG64
@@ -15,13 +16,15 @@ one uniform per domain draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateCatalog, DimensionMismatch, Exhausted
+from .errors import DegenerateCatalog, DimensionMismatch
 from .mixtures import MixtureWeights
+
+MAX_POOL_SIZE = int(np.iinfo(np.intp).max)  # the longest array numpy can make
 
 
 @dataclass
@@ -32,10 +35,9 @@ class SamplerState:
     positions: list[int]
     rng: np.random.Generator
     cumulative: np.ndarray
-    renormalize: bool = False
+    weights: np.ndarray
     steps_emitted: int = 0
     finished: bool = False
-    _active: np.ndarray = field(default=None, repr=False)
 
     def remaining(self, domain: int) -> int:
         return len(self.queues[domain]) - self.positions[domain]
@@ -45,13 +47,12 @@ def init(
     pool_sizes: Sequence[int],
     weights: MixtureWeights,
     seed: int | np.random.SeedSequence,
-    renormalize: bool = False,
 ) -> SamplerState:
     """Stream state over pools of ``pool_sizes`` items, domain ``d`` weighted by ``weights[d]``."""
     if weights.m != len(pool_sizes):
         raise DimensionMismatch(f"weights have {weights.m} entries for {len(pool_sizes)} pools")
-    if any(size < 1 for size in pool_sizes):
-        raise DegenerateCatalog(f"pool sizes must be >= 1, got {list(pool_sizes)}")
+    if any(not 1 <= size <= MAX_POOL_SIZE for size in pool_sizes):
+        raise DegenerateCatalog(f"pool sizes must lie in [1, {MAX_POOL_SIZE}], got {list(pool_sizes)}")
     rng = np.random.default_rng(seed)
     queues = [rng.permutation(size) for size in pool_sizes]
     return SamplerState(
@@ -59,8 +60,7 @@ def init(
         positions=[0] * len(queues),
         rng=rng,
         cumulative=np.cumsum(weights.to_array()),
-        renormalize=renormalize,
-        _active=weights.to_array().copy(),
+        weights=weights.to_array(),
     )
 
 
@@ -84,39 +84,14 @@ def next_sample(state: SamplerState) -> tuple[int, int] | None:
     """Next (domain index, item index), or None once the stream has stopped."""
     if state.finished:
         return None
-    while True:
-        u = state.rng.random()
-        domain = int(draw_domains(state.cumulative, state._active, u))
-        if state.remaining(domain) > 0:
-            item = int(state.queues[domain][state.positions[domain]])
-            state.positions[domain] += 1
-            state.steps_emitted += 1
-            return domain, item
-        if not state.renormalize:
-            state.finished = True
-            return None
-        # drop every exhausted domain and rescale the rest
-        active = state._active.copy()
-        for d in range(len(state.queues)):
-            if state.remaining(d) == 0:
-                active[d] = 0.0
-        total = active.sum()
-        if total <= 0.0:
-            state.finished = True
-            return None
-        state._active = active / total
-        state.cumulative = np.cumsum(state._active)
-
-
-def stream(state: SamplerState, max_steps: int | None = None):
-    """Yield samples until the stream stops or ``max_steps`` is reached."""
-    count = 0
-    while max_steps is None or count < max_steps:
-        sample = next_sample(state)
-        if sample is None:
-            return
-        yield sample
-        count += 1
+    domain = int(draw_domains(state.cumulative, state.weights, state.rng.random()))
+    if state.remaining(domain) == 0:
+        state.finished = True
+        return None
+    item = int(state.queues[domain][state.positions[domain]])
+    state.positions[domain] += 1
+    state.steps_emitted += 1
+    return domain, item
 
 
 def draw_streams(
@@ -145,30 +120,3 @@ def draw_streams(
         dry |= hits & (count > available[d])
     lengths = (~np.logical_or.accumulate(dry, axis=1)).sum(axis=1)
     return domains, ranks, lengths
-
-
-def empirical_frequencies(
-    weights: MixtureWeights,
-    n: int,
-    seed: int,
-    pool_sizes: list[int] | None = None,
-) -> np.ndarray:
-    """Fraction of domain draws per domain over ``n`` two-stage steps.
-
-    With the default pools (n items per domain) exhaustion cannot occur; pass
-    explicit ``pool_sizes`` to surface Exhausted when a pool would run dry.
-    The domain-draw stage is simulated vectorized with :func:`draw_domains`,
-    the rule :func:`next_sample` uses.
-    """
-    m = weights.m
-    sizes = pool_sizes if pool_sizes is not None else [n] * m
-    if len(sizes) != m:
-        raise DimensionMismatch(f"{len(sizes)} pool sizes for {m} domains")
-    weight_array = weights.to_array()
-    u = np.random.default_rng(seed).random(n)
-    draws = draw_domains(np.cumsum(weight_array), weight_array, u)
-    counts = np.bincount(draws, minlength=m)
-    over = [d for d in range(m) if counts[d] > sizes[d]]
-    if over:
-        raise Exhausted(f"domains {over} would run out of items within {n} draws")
-    return counts / n

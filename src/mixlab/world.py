@@ -24,6 +24,7 @@ import numpy as np
 from .config import check_types, is_int
 from .errors import InvalidSpec
 from .records import BenchmarkSpec
+from .sampler import MAX_POOL_SIZE
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -69,8 +70,8 @@ class WorldSpec:
             raise InvalidSpec(f"need k >= m >= 1, got m={self.m}, k={self.k}")
         if self.A < 2:
             raise InvalidSpec("need at least two answers")
-        if len(self.pool_sizes) != self.m or any(s < 1 for s in self.pool_sizes):
-            raise InvalidSpec("pool_sizes must list one positive size per domain")
+        if len(self.pool_sizes) != self.m or any(not 1 <= s <= MAX_POOL_SIZE for s in self.pool_sizes):
+            raise InvalidSpec(f"pool_sizes must list one size in [1, {MAX_POOL_SIZE}] per domain")
         if not 0.0 <= self.overlap < 1.0:
             raise InvalidSpec("overlap must lie in [0, 1)")
         if not 0 <= self.held_out_skills <= self.k - self.m:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from mixlab.mixtures import MixtureWeights
+from mixlab.mixtures import MixtureWeights, format_mixture
 from mixlab.records import BenchmarkSpec, PerformanceRecord
 
 
@@ -28,3 +28,8 @@ def make_record(rid, labels, m, in_score, out_score, step=None):
         scores={"bin": in_score, "bout": out_score},
         step=step,
     )
+
+
+def write_mixture_file(mixture, path):
+    """A mixture file holding ``mixture`` on one line, as ``mixlab`` reads it."""
+    path.write_text(format_mixture(mixture) + "\n")

@@ -15,7 +15,7 @@ from mixlab import grpo
 from mixlab.cli import dispatch
 from mixlab.grpo import GrpoConfig
 from mixlab.heuristics import AlphaConfig, alpha_weights, colinearity_weights, leave_one_out_weights
-from mixlab.mixtures import MixtureWeights, normalize_to_simplex, write_mixture_file
+from mixlab.mixtures import MixtureWeights, normalize_to_simplex
 from mixlab.pipeline import PipelineConfig, SeedPlan, run_full
 from mixlab.records import (
     BenchmarkSpec,
@@ -27,12 +27,13 @@ from mixlab.records import (
     write_records,
 )
 from mixlab.rewards import BoundingBox, combined_reward, extract_answer, iou
-from mixlab.sampler import empirical_frequencies, init as sampler_init, stream
+from mixlab.sampler import init as sampler_init
 from mixlab.search import ProposalConfig
 from mixlab.surrogate import FitConfig, SurrogateModel, cross_validated_fit, predict
 from mixlab.world import BenchmarkDef, WorldSpec
-from tests.conftest import make_record
+from tests.conftest import make_record, write_mixture_file
 from tests.grpo_reference import group_from_rows, grpo_objective
+from tests.sampler_reference import empirical_frequencies, stream
 
 TWO_BENCH = [BenchmarkSpec("bin", 1, "in"), BenchmarkSpec("bout", 1, "out")]
 

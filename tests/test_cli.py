@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixlab.cli import build_parser, dispatch
 from mixlab.grpo import GrpoConfig, RunSpec, _task_streams, train_with_mixture
-from mixlab.mixtures import MixtureWeights, parse_mixture, write_mixture_file
+from mixlab.mixtures import MixtureWeights, normalize_to_simplex, parse_mixture, read_mixture_file
 from mixlab.records import serialize_record, table2_fixture, write_records
 from mixlab.world import BenchmarkDef, WorldSpec, make_world
+from tests.conftest import write_mixture_file
+from tests.sampler_reference import sample_stdout
 
 
 @pytest.fixture
@@ -262,6 +267,28 @@ class TestSample:
             _, skills, *_ = _task_streams(world, [run], GrpoConfig(steps=8))
             assert printed == skills[0].tolist(), seed
 
+    @given(
+        case=st.integers(1, 5).flatmap(lambda m: st.tuples(
+            st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.5, 1.0, 2.0]), min_size=m, max_size=m)
+            .filter(lambda raw: sum(raw) > 0.0),
+            st.lists(st.integers(1, 40), min_size=m, max_size=m))),
+        seed=st.integers(0, 2 ** 32),
+        max_steps=st.one_of(st.none(), st.just(0), st.just(1), st.integers(0, 250)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_prints_the_per_draw_stream(self, tmp_path_factory, case, seed, max_steps):
+        # the bulk draw prints what drawing one uniform at a time printed, up to every exhaustion stop
+        raw, pools = case
+        path = tmp_path_factory.mktemp("sample") / "mix.txt"
+        write_mixture_file(normalize_to_simplex(raw), path)
+        argv = ["sample", "--weights", str(path), "--pools", ",".join(map(str, pools)), "--seed", str(seed)]
+        if max_steps is not None:
+            argv += ["--max-steps", str(max_steps)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = dispatch(argv)
+        assert (code, out.getvalue()) == (0, sample_stdout(read_mixture_file(path), pools, seed, max_steps))
+
     def test_deterministic(self, capsys, mixture_file):
         args = ("sample", "--weights", str(mixture_file), "--pools", "4,4", "--seed", "5")
         _, first, _ = run_cli(capsys, *args)
@@ -273,6 +300,7 @@ class TestSample:
         ("0,5", 2),  # an empty pool
         ("", 2),  # no pools
         ("5,5,5", 2),  # three pools for a two-weight mixture
+        ("99999999999999999999,5", 2),  # a pool numpy cannot index
     ])
     def test_bad_pools(self, capsys, mixture_file, pools, exit_code):
         code, out, err = run_cli(capsys, "sample", "--weights", str(mixture_file),
@@ -324,6 +352,19 @@ class TestSimulate:
         )
         record = train_with_mixture(make_world(spec, 0), MixtureWeights((0.5, 0.5)), GrpoConfig(), 4)
         assert out_path.read_text() == serialize_record(record) + "\n"
+
+    @pytest.mark.parametrize("pool_sizes", [
+        [0, 30],  # an empty pool
+        [99999999999999999999, 30],  # a pool numpy cannot index
+    ])
+    def test_bad_pool_sizes_are_data_errors(self, capsys, mixture_file, tmp_path, pool_sizes):
+        world_path, out_path = tmp_path / "world.json", tmp_path / "records.jsonl"
+        world_path.write_text(json.dumps({"m": 2, "k": 4, "A": 4, "pool_sizes": pool_sizes}))
+        code, out, err = run_cli(capsys, "simulate", "--world", str(world_path), "--weights", str(mixture_file),
+                                 "--steps", "5", "--seed", "0", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert "error: pool_sizes must list one size in" in err
+        assert not out_path.exists()
 
     def test_repeated_benchmark_name_is_data_error(self, capsys, mixture_file, tmp_path):
         world_path, out_path = tmp_path / "world.json", tmp_path / "records.jsonl"

@@ -14,8 +14,8 @@ from mixlab.mixtures import (
     seed_exclude_one,
     seed_single,
     validate,
-    write_mixture_file,
 )
+from tests.conftest import write_mixture_file
 
 
 class TestValidate:

@@ -17,7 +17,6 @@ from mixlab.mixtures import SIMPLEX_ATOL
 from mixlab.records import (
     BenchmarkSpec,
     bundled_suite,
-    by_id,
     parse_records,
     read_records,
     serialize_record,
@@ -37,6 +36,11 @@ def suite():
 @pytest.fixture(scope="module")
 def fixture():
     return table2_fixture()
+
+
+@pytest.fixture(scope="module")
+def by_id(fixture):
+    return {record.id: record for record in fixture}
 
 
 class TestWeightedAggregate:
@@ -98,11 +102,11 @@ class TestFixture:
     def test_row_count(self, fixture):
         assert len(fixture) == 42
 
-    def test_base_mathvista(self, fixture):
-        assert by_id(fixture)["Base"].scores["MathVista"] == 0.391
+    def test_base_mathvista(self, by_id):
+        assert by_id["Base"].scores["MathVista"] == 0.391
 
-    def test_single_sat(self, fixture):
-        assert by_id(fixture)["4"].scores["SAT"] == 0.5949
+    def test_single_sat(self, by_id):
+        assert by_id["4"].scores["SAT"] == 0.5949
 
     def test_reproduces_printed_columns(self, fixture, suite):
         printed = table2_printed_summary()
@@ -113,16 +117,14 @@ class TestFixture:
             assert got.in_score == pytest.approx(want.in_score, abs=1e-3), record.id
             assert got.out_score == pytest.approx(want.out_score, abs=1e-3), record.id
 
-    def test_seed_rows_carry_uniform_weights(self, fixture):
-        rows = by_id(fixture)
-        assert rows["1"].weights.weights == (1, 0, 0, 0, 0)
-        assert rows["2345"].weights.weights == (0, 0.25, 0.25, 0.25, 0.25)
-        assert rows["12345"].weights.weights == (0.2,) * 5
+    def test_seed_rows_carry_uniform_weights(self, by_id):
+        assert by_id["1"].weights.weights == (1, 0, 0, 0, 0)
+        assert by_id["2345"].weights.weights == (0, 0.25, 0.25, 0.25, 0.25)
+        assert by_id["12345"].weights.weights == (0.2,) * 5
 
-    def test_non_seed_rows_have_no_weights(self, fixture):
-        rows = by_id(fixture)
+    def test_non_seed_rows_have_no_weights(self, by_id):
         for rid in ("Base", "Ain-avg", "no1-Coli-2000", "007"):
-            assert rows[rid].weights is None
+            assert by_id[rid].weights is None
 
     def test_weight_support_matches_datasets(self, fixture):
         for record in fixture:

@@ -17,7 +17,6 @@ from mixlab.rewards import (
     combined_reward,
     extract_answer,
     iou,
-    mean_iou,
     normalize_answer,
     score_pair,
     score_pairs,
@@ -368,7 +367,7 @@ class TestScoringFiles:
         ]
         results = score_pairs(lines)
         assert [r.total for r in results] == [3.0, 0.0, 3.0]
-        assert mean_iou([results[2]]) == pytest.approx(1.0)
+        assert results[2].iou == pytest.approx(1.0)
 
     def test_malformed_stream(self):
         with pytest.raises(MalformedLine):

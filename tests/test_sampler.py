@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mixlab.errors import DimensionMismatch, Exhausted
+from mixlab.errors import DimensionMismatch
 from mixlab.mixtures import MixtureWeights, seed_all
-from mixlab.sampler import draw_domains, draw_streams, empirical_frequencies, init, next_sample, stream
+from mixlab.sampler import draw_domains, init, next_sample
+from tests.sampler_reference import Exhausted, bulk, empirical_frequencies, stream
 
 
 class TestInit:
@@ -70,13 +71,6 @@ class TestNextSample:
             state = init((size, 50), MixtureWeights((1.0, 0.0)), seed=size)
             assert len(list(stream(state))) == size
 
-    def test_renormalize_consumes_everything(self):
-        state = init((2, 5), MixtureWeights((0.5, 0.5)), seed=9, renormalize=True)
-        drawn = list(stream(state))
-        assert len(drawn) == 7
-        assert sorted(set(d for d, _ in drawn)) == [0, 1]
-        assert next_sample(state) is None
-
     def test_steps_emitted_counter(self):
         state = init((10, 10), MixtureWeights((0.5, 0.5)), seed=0)
         list(stream(state, max_steps=6))
@@ -134,15 +128,6 @@ class TestDrawDomains:
 
 def sequential(state):
     return [(int(d), int(i)) for d, i in stream(state)]
-
-
-def bulk(state, max_steps):
-    """A fresh state's stream as :func:`draw_streams` with one row gives it, items gathered here."""
-    domains, ranks, lengths = draw_streams(
-        state.cumulative[None], state._active[None], state.rng.random(max_steps)[None],
-        np.array([len(queue) for queue in state.queues]))
-    n = int(lengths[0])
-    return [(int(d), int(state.queues[d][r - 1])) for d, r in zip(domains[0, :n], ranks[0, :n])]
 
 
 class TestDrawStream:

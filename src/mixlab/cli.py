@@ -48,11 +48,13 @@ class _Parser(argparse.ArgumentParser):
     """argparse variant that reports usage problems instead of exiting(2).
 
     A flag left off is absent from the parsed namespace: each setting's one
-    default lives in the config dataclass or function the flag feeds.
+    default lives in the config dataclass or function the flag feeds.  Flags
+    must be spelled in full: a prefix such as ``--jit`` is an unrecognized
+    argument, not ``--jitter``.
     """
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, argument_default=argparse.SUPPRESS, **kwargs)
+        super().__init__(*args, argument_default=argparse.SUPPRESS, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)
@@ -114,13 +116,6 @@ def _non_negative(text: str) -> int:
     return value
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _positive_finite(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
@@ -153,7 +148,6 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, help="--method alpha only")
     p.add_argument("--alpha-single", type=float, help="--method alpha only")
     p.add_argument("--lambda", dest="lam", type=_positive_finite, help="--method coli only")
-    p.add_argument("--m", type=_positive, default=None, help="dataset count (default: inferred)")
 
     fit = sub.add_parser("fit", help="cross-validated response-surface fit on weighted records")
     fit.add_argument("--out", default=None, help="also save the model JSON here")
@@ -263,11 +257,11 @@ def _cmd_heuristic(args) -> int:
     suite = _load_suite(args.suite)
     records = read_records(args.records, suite=suite)
     if args.method == "alpha":
-        weights = alpha_weights(records, _config(AlphaConfig, args), m=args.m, suite=suite)
+        weights = alpha_weights(records, _config(AlphaConfig, args), suite=suite)
     elif args.method == "coli":
-        weights = colinearity_weights(records, m=args.m, suite=suite, **_given(args, "lam"))
+        weights = colinearity_weights(records, suite=suite, **_given(args, "lam"))
     else:
-        weights = leave_one_out_weights(records, m=args.m, suite=suite)
+        weights = leave_one_out_weights(records, suite=suite)
     print(format_mixture(weights))
     return 0
 

@@ -7,10 +7,10 @@ exactly over the discrete action space rather than estimated from samples,
 which removes estimator noise from gradient checks.
 
 Rewards are the verifiable kind: the proxy policy cannot be malformed, so the
-format component is always 1 and the total is ``2 * exact_match + 1`` under
-``rewards.DEFAULT_WEIGHTS``.  Any other positive weights would be an affine
-map of the 0/1 match signal, which group normalization cancels (up to
-rounding), so the trainer takes no reward weights.
+format component is always 1 and the total is ``2 * exact_match + 1``, the
+fixed weighting of ``rewards.combined_reward``.  Any other positive weights
+would be an affine map of the 0/1 match signal, which group normalization
+cancels (up to rounding), so neither the trainer nor the rewards take weights.
 
 Training runs go through :func:`train_runs`, which trains every run of a
 phase together as one array program over the flat logits ``(R*k, A)``.  A

@@ -15,8 +15,15 @@ Three strategies are provided:
 
 Every predictor consumes the seed records of its input (records that carry
 an explicit weight vector); rows without weights, such as the untrained
-baseline, are ignored.  Callers may pre-filter to reproduce variants that
-drop specific datasets.
+baseline, are ignored.  m is the largest dataset label among the seed
+records, so dropping every record that uses one dataset acts as follows.
+Dropping the largest label shrinks m to the largest label left: alpha and
+collinearity return that many weights, and leave-one-out needs exclude-one
+records over the smaller m.  Dropping any other label leaves a dataset that
+no record uses: alpha raises MixLabError, collinearity gives it weight 0.0,
+and leave-one-out raises MissingCombination, since every other exclude-one
+record used it.  ``TestDroppedDataset`` in the tests pins both on the
+bundled fixture.
 """
 
 from __future__ import annotations
@@ -35,10 +42,10 @@ from .errors import (
     MissingCombination,
     MixLabError,
     MixLabWarning,
+    SingularSystem,
 )
 from .mixtures import MixtureWeights, normalize_to_simplex
 from .records import BenchmarkSpec, PerformanceRecord, weighted_aggregate
-from .surrogate import ridge_fit
 
 # Affine transform constants mapping normalized exclude-one scores to raw
 # weights in [0.1, 0.2]; kept literal (they are not rescaled with m).
@@ -61,21 +68,19 @@ class AlphaConfig:
             raise ValueError("alpha_single must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class ScoreSums:
-    """Per-dataset accumulated In/Out score sums."""
+def _weighted_indicators(records: Sequence[PerformanceRecord]) -> tuple[list[PerformanceRecord], np.ndarray]:
+    """The records that carry weights, and their 0/1 dataset indicators ``X`` ``(n, m)``.
 
-    s_in: np.ndarray
-    s_out: np.ndarray
-
-
-def _infer_m(records: Sequence[PerformanceRecord], m: int | None) -> int:
-    if m is not None:
-        return m
+    m is the largest label among those records; EmptyRecords if they name none.
+    """
+    records = [r for r in records if r.weights is not None]
     labels = [d for r in records for d in r.datasets]
     if not labels:
-        raise EmptyRecords("no participating datasets found; cannot infer m")
-    return max(labels)
+        raise EmptyRecords("no weighted record names a dataset")
+    X = np.zeros((len(records), max(labels)))
+    rows = np.repeat(np.arange(len(records)), [len(r.datasets) for r in records])
+    X[rows, np.array(labels) - 1] = 1.0
+    return records, X
 
 
 def _min_max(values: np.ndarray, what: str) -> np.ndarray | None:
@@ -91,54 +96,36 @@ def _min_max(values: np.ndarray, what: str) -> np.ndarray | None:
     return (values - values.min()) / spread
 
 
-def score_sums(
-    records: Sequence[PerformanceRecord],
-    cfg: AlphaConfig,
-    m: int,
-    suite: Sequence[BenchmarkSpec],
-) -> ScoreSums:
-    """Accumulate per-dataset In/Out sums, damping single-dataset records."""
-    s_in = np.zeros(m)
-    s_out = np.zeros(m)
-    score_rows = [record.scores for record in records]
-    in_scores = weighted_aggregate(score_rows, suite, "in")
-    out_scores = weighted_aggregate(score_rows, suite, "out")
-    for record, in_score, out_score in zip(records, in_scores, out_scores):
-        if len(record.datasets) == 1:
-            in_score *= cfg.alpha_single
-            out_score *= cfg.alpha_single
-        for label in record.datasets:
-            if not 1 <= label <= m:
-                raise MixLabError(f"record {record.id!r} uses dataset label {label} > m={m}")
-            s_in[label - 1] += in_score
-            s_out[label - 1] += out_score
-    return ScoreSums(s_in=s_in, s_out=s_out)
+def _column_sums(X: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each column's sum of ``values`` over the rows marked in it, added in row order."""
+    return np.where(X, values[:, None], 0.0).sum(axis=0, initial=0.0)
 
 
 def alpha_weights(
     records: Sequence[PerformanceRecord],
     cfg: AlphaConfig = AlphaConfig(),
-    m: int | None = None,
     *,
     suite: Sequence[BenchmarkSpec],
 ) -> MixtureWeights:
     """Blend min-max normalized In/Out score sums into mixture weights.
 
     ``alpha = 1`` optimizes for in-distribution scores only, ``alpha = 0``
-    for out-of-distribution only, ``alpha = 0.5`` balances the two.
+    for out-of-distribution only, ``alpha = 0.5`` balances the two.  A
+    dataset's sums run over the records that use it, single-dataset records
+    scaled by ``alpha_single``.
     """
-    records = [r for r in records if r.weights is not None]
-    if not records:
-        raise EmptyRecords("no records to accumulate")
-    m = _infer_m(records, m)
-    seen = {d for r in records for d in r.datasets}
-    missing = sorted(set(range(1, m + 1)) - seen)
-    if missing:
-        raise MixLabError(f"datasets {missing} appear in no record")
+    records, X = _weighted_indicators(records)
+    m = X.shape[1]
+    missing = np.flatnonzero(~X.any(axis=0)) + 1
+    if missing.size:
+        raise MixLabError(f"datasets {missing.tolist()} appear in no record")
 
-    sums = score_sums(records, cfg, m, suite)
-    norm_in = _min_max(sums.s_in, "In score sums")
-    norm_out = _min_max(sums.s_out, "Out score sums")
+    score_rows = [record.scores for record in records]
+    damping = np.where(X.sum(axis=1) == 1, cfg.alpha_single, 1.0)
+    s_in = _column_sums(X, damping * weighted_aggregate(score_rows, suite, "in"))
+    s_out = _column_sums(X, damping * weighted_aggregate(score_rows, suite, "out"))
+    norm_in = _min_max(s_in, "In score sums")
+    norm_out = _min_max(s_out, "Out score sums")
     if norm_in is None or norm_out is None:
         return MixtureWeights(tuple([1.0 / m] * m))
 
@@ -149,7 +136,6 @@ def alpha_weights(
 def colinearity_weights(
     records: Sequence[PerformanceRecord],
     lam: float = 1e-3,
-    m: int | None = None,
     *,
     suite: Sequence[BenchmarkSpec],
 ) -> MixtureWeights:
@@ -159,23 +145,13 @@ def colinearity_weights(
     recipe used.  Coefficients are divided by the diagonal of
     ``(X'X + lam*I)^-1``, clamped at zero, and normalized to the simplex.
     """
-    records = [r for r in records if r.weights is not None]
-    if not records:
-        raise EmptyRecords("no records to regress on")
-    m = _infer_m(records, m)
-
-    X = np.zeros((len(records), m))
-    for row, record in enumerate(records):
-        for label in record.datasets:
-            if not 1 <= label <= m:
-                raise MixLabError(f"record {record.id!r} uses dataset label {label} > m={m}")
-            X[row, label - 1] = 1.0
+    records, X = _weighted_indicators(records)
     y = np.array(weighted_aggregate([record.scores for record in records], suite, "out"))
-
-    # ridge_fit validates lam > 0, which is what rules out a singular system
-    beta = ridge_fit(X, y, lam)
-    gram_inv = np.linalg.inv(X.T @ X + lam * np.eye(m))
-    vif = np.diag(gram_inv)
+    if lam <= 0:  # what rules out a singular system
+        raise SingularSystem("ridge regularization requires lambda > 0")
+    gram = X.T @ X + lam * np.eye(X.shape[1])
+    beta = np.linalg.solve(gram, X.T @ y)
+    vif = np.diag(np.linalg.inv(gram))
     adjusted = np.maximum(0.0, beta / vif)
     if adjusted.sum() <= 0.0:
         raise AllZeroAdjusted("every VIF-adjusted coefficient clamps to zero")
@@ -184,36 +160,33 @@ def colinearity_weights(
 
 def leave_one_out_weights(
     records: Sequence[PerformanceRecord],
-    m: int | None = None,
     *,
     suite: Sequence[BenchmarkSpec],
 ) -> MixtureWeights:
     """Weight each dataset by the exclude-one run that left it out.
 
-    Higher Out-Score without a dataset means the dataset matters less, so the
-    transform ``LOO_OFFSET - LOO_SLOPE * normalized_score`` is monotone
-    decreasing; raw weights land in [LOO_OFFSET - LOO_SLOPE, LOO_OFFSET]
-    before normalization.
+    An exclude-one record uses m - 1 of the m datasets.  Higher Out-Score
+    without a dataset means the dataset matters less, so the transform
+    ``LOO_OFFSET - LOO_SLOPE * normalized_score`` is monotone decreasing; raw
+    weights land in [LOO_OFFSET - LOO_SLOPE, LOO_OFFSET] before
+    normalization.
     """
-    records = [r for r in records if r.weights is not None]
-    m = _infer_m(records, m)
+    records, X = _weighted_indicators(records)
+    m = X.shape[1]
     if m < 2:
         raise EmptyRecords("leave-one-out weighting needs at least two datasets")
 
-    full = frozenset(range(1, m + 1))
     by_missing: dict[int, PerformanceRecord] = {}
-    for record in records:
-        used = frozenset(record.datasets)
-        if len(used) != m - 1 or not used <= full:
-            continue
-        (missing_label,) = full - used
+    for row in np.flatnonzero(X.sum(axis=1) == m - 1):
+        missing_label = int(X[row].argmin()) + 1
+        record = records[row]
         if missing_label in by_missing:
             raise DuplicateCombination(
                 f"records {by_missing[missing_label].id!r} and {record.id!r} "
                 f"both exclude dataset {missing_label}"
             )
         by_missing[missing_label] = record
-    absent = sorted(full - set(by_missing))
+    absent = sorted(set(range(1, m + 1)) - set(by_missing))
     if absent:
         raise MissingCombination(f"no exclude-one record for datasets {absent}")
 

@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .config import check_types
 from .errors import InvalidBox, InvalidPair, MalformedLine
 from .records import decode_line, scan_line
 
@@ -41,20 +40,6 @@ class BoundingBox:
     @property
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-
-@dataclass(frozen=True)
-class RewardWeights:
-    accuracy: float = 2.0  # applies to both exact match and IoU
-    format: float = 1.0
-
-    def __post_init__(self):
-        check_types(self)
-        if self.accuracy < 0 or self.format < 0:
-            raise ValueError("reward weights must be >= 0")
-
-
-DEFAULT_WEIGHTS = RewardWeights()
 
 
 @dataclass(frozen=True)
@@ -198,12 +183,11 @@ def combined_reward(
     format_flag: int,
     accuracy: int | None = None,
     iou_value: float | None = None,
-    weights: RewardWeights = DEFAULT_WEIGHTS,
 ) -> RewardBreakdown:
-    """Weighted total: quality (accuracy or IoU) plus format bonus.
+    """Total ``2 * quality + 1 * format``, quality being the accuracy or the IoU.
 
-    A format failure zeroes every component before weighting, so the total is
-    0 regardless of the other inputs.
+    A format failure zeroes every component, so the total is 0 regardless of
+    the other inputs.
     """
     if accuracy is not None and iou_value is not None:
         raise ValueError("a task is scored by accuracy or IoU, not both")
@@ -219,11 +203,11 @@ def combined_reward(
         quality = float(accuracy)
     elif iou_value is not None:
         quality = float(iou_value)
-    total = weights.accuracy * quality + weights.format
+    total = 2.0 * quality + 1.0
     return RewardBreakdown(format=1, accuracy=accuracy, iou=iou_value, total=total)
 
 
-def score_pair(prediction: str, gold, mode: str, weights: RewardWeights = DEFAULT_WEIGHTS) -> RewardBreakdown:
+def score_pair(prediction: str, gold, mode: str) -> RewardBreakdown:
     """Score one (prediction, gold) pair end to end; InvalidPair unless the types suit ``mode``.
 
     ``prediction`` is a string; ``gold`` a string (text) or a BoundingBox or [x1, y1, x2, y2] (box).
@@ -236,12 +220,12 @@ def score_pair(prediction: str, gold, mode: str, weights: RewardWeights = DEFAUL
     flag, payload = extract_answer(prediction, mode=mode)
     if mode == "text":
         acc = accuracy_reward(payload, gold) if flag else 0
-        return combined_reward(flag, accuracy=acc, weights=weights)
+        return combined_reward(flag, accuracy=acc)
     value = iou(best_box(payload), gold) if flag else 0.0
-    return combined_reward(flag, iou_value=value, weights=weights)
+    return combined_reward(flag, iou_value=value)
 
 
-def score_pairs(lines: Iterable[str], weights: RewardWeights = DEFAULT_WEIGHTS) -> list[RewardBreakdown]:
+def score_pairs(lines: Iterable[str]) -> list[RewardBreakdown]:
     """Score a JSONL stream of ``{"prediction": ..., "gold": ..., "mode": ...}``."""
     results = []
     for line_number, line in enumerate(lines, start=1):
@@ -256,7 +240,7 @@ def score_pairs(lines: Iterable[str], weights: RewardWeights = DEFAULT_WEIGHTS) 
         if mode not in ("text", "box"):
             raise MalformedLine(line_number, f"unknown mode {mode!r}")
         try:
-            results.append(score_pair(obj["prediction"], obj["gold"], mode, weights))
+            results.append(score_pair(obj["prediction"], obj["gold"], mode))
         except InvalidPair as exc:
             raise MalformedLine(line_number, str(exc)) from exc
     return results

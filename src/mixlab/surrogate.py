@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import check_types
-from .errors import DimensionMismatch, InsufficientRecords, SingularSystem, ZeroVariance
+from .errors import DimensionMismatch, InsufficientRecords, ZeroVariance
 from .mixtures import MixtureWeights
 from .records import BenchmarkSpec, PerformanceRecord, weighted_aggregate
 
@@ -52,18 +52,6 @@ def least_squares_fit(X: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"{X.shape[0]} rows vs {y.shape[0]} targets")
     coef, *_ = np.linalg.lstsq(X, y, rcond=None)
     return coef
-
-
-def ridge_fit(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """Ridge coefficients (X'X + lam*I)^-1 X'y; no intercept column is added."""
-    if lam <= 0:
-        raise SingularSystem("ridge regularization requires lambda > 0")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] != y.shape[0]:
-        raise DimensionMismatch(f"{X.shape[0]} rows vs {y.shape[0]} targets")
-    gram = X.T @ X + lam * np.eye(X.shape[1])
-    return np.linalg.solve(gram, X.T @ y)
 
 
 def r_squared(predicted: Sequence[float], actual: Sequence[float]) -> float:

@@ -70,7 +70,7 @@ def test_c2_leave_one_out_oracle_trace():
     for missing, out in printed_out.items():
         labels = [d for d in range(1, 6) if d != missing]
         records.append(make_record("".join(map(str, labels)), labels, 5, 0.5, out))
-    got = leave_one_out_weights(records, m=5, suite=TWO_BENCH).to_array()
+    got = leave_one_out_weights(records, suite=TWO_BENCH).to_array()
 
     # independent hand trace of the published scores
     scores = [printed_out[i] for i in range(1, 6)]

@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from mixlab.cli import build_parser, dispatch
 from mixlab.grpo import GrpoConfig, RunSpec, _task_streams, train_with_mixture
-from mixlab.mixtures import MixtureWeights, normalize_to_simplex, parse_mixture, read_mixture_file
-from mixlab.records import serialize_record, table2_fixture, write_records
+from mixlab.heuristics import AlphaConfig
+from mixlab.mixtures import MixtureWeights, format_mixture, normalize_to_simplex, parse_mixture, read_mixture_file
+from mixlab.records import bundled_suite, serialize_record, table2_fixture, write_records
 from mixlab.world import BenchmarkDef, WorldSpec, make_world
+from tests import heuristics_reference
 from tests.conftest import write_mixture_file
 from tests.sampler_reference import sample_stdout
 
@@ -161,6 +163,18 @@ class TestHeuristic:
                                "--records", str(fixture_file))
         assert code == 0
         parse_mixture(out.strip())
+
+    @pytest.mark.parametrize("method, flags, predict", [
+        ("alpha", ["--alpha", "0.25", "--alpha-single", "0.5"],
+         lambda records, suite: heuristics_reference.alpha_weights(records, AlphaConfig(0.25, 0.5), suite=suite)),
+        ("coli", ["--lambda", "0.1"], lambda records, suite: heuristics_reference.colinearity_weights(
+            records, 0.1, suite=suite)),
+        ("norm", [], lambda records, suite: heuristics_reference.leave_one_out_weights(records, suite=suite)),
+    ])
+    def test_prints_the_per_label_reference_weights(self, capsys, fixture_file, method, flags, predict):
+        code, out, _ = run_cli(capsys, "heuristic", "--method", method, *flags, "--records", str(fixture_file))
+        assert code == 0
+        assert out == format_mixture(predict(table2_fixture(), bundled_suite())) + "\n"
 
     @pytest.mark.parametrize("method, flags, named", [
         ("norm", ["--lambda", "1e-3"], "--lambda"),
@@ -472,9 +486,10 @@ class TestPipelineCommand:
      {}, "peak_learning_rate"),
     (["simulate", "--world", "{world}", "--weights", "{mixture}", "--kl-coeff", "inf", "--out", "{out}"],
      {}, "kl_coeff"),
-    # a dataset count below one
-    (["heuristic", "--method", "norm", "--records", "{records}", "--m", "-2"], {}, "--m"),
-    (["heuristic", "--method", "alpha", "--records", "{records}", "--m", "0"], {}, "--m"),
+    # flags must be spelled in full: --m is not read as --method, nor --jit as --jitter
+    (["heuristic", "--method", "norm", "--records", "{records}", "--m", "-2"], {}, "unrecognized arguments: --m"),
+    (["heuristic", "--method", "alpha", "--records", "{records}", "--m", "0"], {}, "unrecognized arguments: --m"),
+    (["propose", "--records", "{records}", "--jit", "1e-3"], {}, "unrecognized arguments: --jit"),
     # unknown keys, at the top level, in the world and in a benchmark entry
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"verify_seed": 10}, "verify_seed"),
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"world_spec": PIPELINE_WORLD}, "world_spec"),

@@ -9,16 +9,19 @@ from mixlab.errors import (
     DuplicateCombination,
     EmptyRecords,
     MissingCombination,
+    MixLabError,
     MixLabWarning,
     SingularSystem,
 )
+from mixlab import heuristics
 from mixlab.heuristics import (
     AlphaConfig,
     alpha_weights,
     colinearity_weights,
     leave_one_out_weights,
 )
-from mixlab.records import BenchmarkSpec
+from mixlab.records import BenchmarkSpec, PerformanceRecord, bundled_suite, table2_fixture
+from tests import heuristics_reference
 from tests.conftest import make_record
 
 
@@ -204,7 +207,7 @@ class TestLeaveOneOutWeights:
         return records
 
     def test_published_trace(self, two_bench_suite):
-        w = leave_one_out_weights(self.exclude_one_records(), m=5, suite=two_bench_suite)
+        w = leave_one_out_weights(self.exclude_one_records(), suite=two_bench_suite)
         oracle = loo_oracle([self.PRINTED[i] for i in range(1, 6)])
         assert w.to_array() == pytest.approx(np.array(oracle), abs=1e-12)
         assert w.to_array() == pytest.approx(
@@ -216,12 +219,12 @@ class TestLeaveOneOutWeights:
             make_record("2", [2], 2, 0.5, 0.6),  # excludes dataset 1
             make_record("1", [1], 2, 0.5, 0.4),  # excludes dataset 2
         ]
-        w = leave_one_out_weights(records, m=2, suite=two_bench_suite)
+        w = leave_one_out_weights(records, suite=two_bench_suite)
         # normalized scores [1, 0] -> raw [0.1, 0.2] -> [1/3, 2/3]
         assert w.weights == pytest.approx((1 / 3, 2 / 3), abs=1e-12)
 
     def test_min_scoring_combination_gets_largest_raw_weight(self, two_bench_suite):
-        w = leave_one_out_weights(self.exclude_one_records(), m=5, suite=two_bench_suite)
+        w = leave_one_out_weights(self.exclude_one_records(), suite=two_bench_suite)
         # dataset 4's exclusion scored lowest, so it gets the full 0.2 raw weight
         assert max(range(5), key=lambda i: w.weights[i]) == 3
 
@@ -236,19 +239,19 @@ class TestLeaveOneOutWeights:
                 make_record(f"miss{i}", [d for d in range(1, 5) if d != i], 4, 0.5, float(s))
                 for i, s in enumerate(scores, start=1)
             ]
-            w = leave_one_out_weights(records, m=4, suite=two_bench_suite)
+            w = leave_one_out_weights(records, suite=two_bench_suite)
             assert max(w.weights) <= 2.0 * min(w.weights) + 1e-12
 
     def test_missing_combination(self, two_bench_suite):
         records = self.exclude_one_records()[:-1]
         with pytest.raises(MissingCombination):
-            leave_one_out_weights(records, m=5, suite=two_bench_suite)
+            leave_one_out_weights(records, suite=two_bench_suite)
 
     def test_duplicate_combination(self, two_bench_suite):
         records = self.exclude_one_records()
         records.append(make_record("dup", [2, 3, 4, 5], 5, 0.5, 0.5))
         with pytest.raises(DuplicateCombination):
-            leave_one_out_weights(records, m=5, suite=two_bench_suite)
+            leave_one_out_weights(records, suite=two_bench_suite)
 
     def test_all_equal_scores_falls_back_uniform(self, two_bench_suite):
         records = [
@@ -256,17 +259,17 @@ class TestLeaveOneOutWeights:
             make_record("1", [1], 2, 0.5, 0.4),
         ]
         with pytest.warns(MixLabWarning):
-            w = leave_one_out_weights(records, m=2, suite=two_bench_suite)
+            w = leave_one_out_weights(records, suite=two_bench_suite)
         assert w.weights == (0.5, 0.5)
 
     def test_ignores_non_loo_records(self, two_bench_suite):
         records = self.exclude_one_records()
-        baseline = leave_one_out_weights(records, m=5, suite=two_bench_suite)
+        baseline = leave_one_out_weights(records, suite=two_bench_suite)
         extra = records + [
             make_record("12345", [1, 2, 3, 4, 5], 5, 0.5, 0.46),
             make_record("1", [1], 5, 0.3, 0.46),
         ]
-        assert leave_one_out_weights(extra, m=5, suite=two_bench_suite) == baseline
+        assert leave_one_out_weights(extra, suite=two_bench_suite) == baseline
 
 
 def test_all_heuristics_return_valid_simplex(two_bench_suite):
@@ -284,4 +287,73 @@ def test_all_heuristics_return_valid_simplex(two_bench_suite):
 
     validate(alpha_weights(records, AlphaConfig(), suite=two_bench_suite).weights)
     validate(colinearity_weights(records, suite=two_bench_suite).weights)
-    validate(leave_one_out_weights(records, m=m, suite=two_bench_suite).weights)
+    validate(leave_one_out_weights(records, suite=two_bench_suite).weights)
+
+
+def _outcome(predict, *args, **kwargs):
+    """The weights ``predict`` returns, or the type of the error it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MixLabWarning)
+        try:
+            return predict(*args, **kwargs).weights
+        except Exception as exc:
+            return type(exc)
+
+
+def _each_heuristic(records, cfg, lam, suite, module):
+    return (_outcome(module.alpha_weights, records, cfg, suite=suite),
+            _outcome(module.colinearity_weights, records, lam, suite=suite),
+            _outcome(module.leave_one_out_weights, records, suite=suite))
+
+
+_SCORES = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+_RATES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def pilot_records(draw):
+    """Weighted records over random label sets, unweighted rows among them, often a full exclude-one family."""
+    m = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.tuples(st.sets(st.integers(1, m)), st.booleans(), _SCORES, _SCORES), max_size=10))
+    records = []
+    for i, (labels, weighted, s_in, s_out) in enumerate(rows):
+        if weighted and labels:
+            records.append(make_record(f"r{i}", sorted(labels), m, s_in, s_out))
+        else:
+            records.append(PerformanceRecord(f"u{i}", tuple(sorted(labels)), None, {"bin": s_in, "bout": s_out}))
+    if m > 1 and draw(st.booleans()):
+        records += [make_record(f"x{d}", [e for e in range(1, m + 1) if e != d], m, draw(_SCORES), draw(_SCORES))
+                    for d in range(1, m + 1)]
+    return draw(st.permutations(records))
+
+
+@settings(max_examples=400, deadline=None)
+@given(records=pilot_records(), alpha=_RATES, alpha_single=_RATES,
+       lam=st.sampled_from([0.0, 1e-3]) | st.floats(0.0, 10.0))
+def test_same_weights_or_error_as_the_per_label_reference(records, alpha, alpha_single, lam):
+    suite = [BenchmarkSpec("bin", 1, "in"), BenchmarkSpec("bout", 1, "out")]
+    cfg = AlphaConfig(alpha=alpha, alpha_single=alpha_single)
+    assert (_each_heuristic(records, cfg, lam, suite, heuristics)
+            == _each_heuristic(records, cfg, lam, suite, heuristics_reference))
+
+
+class TestDroppedDataset:
+    """The bundled fixture without the records that use one dataset: m is the largest label left."""
+
+    def predict(self, dropped):
+        records = [r for r in table2_fixture() if dropped not in r.datasets]
+        suite = bundled_suite()
+        outcomes = _each_heuristic(records, AlphaConfig(), 1e-3, suite, heuristics)
+        assert outcomes == _each_heuristic(records, AlphaConfig(), 1e-3, suite, heuristics_reference)
+        return outcomes
+
+    def test_largest_label_leaves_four_datasets(self):
+        alpha, coli, loo = self.predict(5)
+        assert len(alpha) == len(coli) == 4
+        assert loo is MissingCombination
+
+    def test_middle_label_is_a_dataset_no_record_uses(self):
+        alpha, coli, loo = self.predict(3)
+        assert alpha is MixLabError
+        assert len(coli) == 5 and coli[2] == 0.0
+        assert loo is MissingCombination

@@ -9,7 +9,6 @@ from mixlab import rewards
 from mixlab.errors import InvalidBox, InvalidPair, MalformedLine
 from mixlab.rewards import (
     BoundingBox,
-    RewardWeights,
     _parse_box_literal,
     _parse_box_payload,
     accuracy_reward,
@@ -304,10 +303,6 @@ class TestCombinedReward:
         totals = [combined_reward(1, iou_value=v).total for v in (0.0, 0.3, 0.7, 1.0)]
         assert totals == sorted(totals)
         assert combined_reward(1, accuracy=0).total <= combined_reward(1, accuracy=1).total
-
-    def test_custom_weights(self):
-        weights = RewardWeights(accuracy=3.0, format=0.5)
-        assert combined_reward(1, accuracy=1, weights=weights).total == 3.5
 
     def test_both_components_rejected(self):
         with pytest.raises(ValueError):

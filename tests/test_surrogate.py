@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mixlab.errors import DimensionMismatch, InsufficientRecords, SingularSystem, ZeroVariance
+from mixlab.errors import DimensionMismatch, InsufficientRecords, ZeroVariance
 from mixlab.mixtures import MixtureWeights, normalize_to_simplex
 from mixlab.pipeline import plan_seed_mixtures
 from mixlab.records import BenchmarkSpec, PerformanceRecord, bundled_suite, table2_fixture
@@ -18,7 +18,6 @@ from mixlab.surrogate import (
     predict_many,
     quadratic_pairs,
     r_squared,
-    ridge_fit,
 )
 
 OUT_SUITE = [BenchmarkSpec("obj", 1, "out"), BenchmarkSpec("dummy", 1, "in")]
@@ -98,26 +97,6 @@ class TestLeastSquares:
         # one equation, two unknowns: x + y = 2; min-norm solution is (1, 1)
         coef = least_squares_fit(np.array([[1.0, 1.0]]), np.array([2.0]))
         assert coef == pytest.approx([1.0, 1.0])
-
-
-class TestRidge:
-    def test_identity_closed_form(self):
-        coef = ridge_fit(np.eye(2), np.array([0.4, 0.2]), lam=1e-3)
-        assert coef == pytest.approx(np.array([0.4, 0.2]) / 1.001, abs=1e-15)
-
-    def test_monotone_shrinkage(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(10, 3))
-        y = rng.normal(size=10)
-        norms = [np.linalg.norm(ridge_fit(X, y, lam)) for lam in (1e-3, 1e-1, 1e1, 1e3)]
-        assert all(a >= b for a, b in zip(norms, norms[1:]))
-
-    def test_zero_targets(self):
-        assert ridge_fit(np.eye(3), np.zeros(3), 0.5) == pytest.approx(np.zeros(3))
-
-    def test_nonpositive_lambda_rejected(self):
-        with pytest.raises(SingularSystem):
-            ridge_fit(np.eye(2), np.zeros(2), 0.0)
 
 
 class TestPredict:

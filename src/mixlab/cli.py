@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import MixLabError
-from .grpo import GrpoConfig, run_streams, train_with_mixture
+from .grpo import GrpoConfig, RunSpec, data_streams, train_with_mixture
 from .heuristics import AlphaConfig, alpha_weights, colinearity_weights, leave_one_out_weights
 from .mixtures import format_mixture, read_mixture_file
 from .pipeline import pipeline_config_from_dict, run_full, write_report
@@ -31,8 +31,6 @@ from .records import (
     serialize_record,
     summarize,
 )
-from .sampler import draw_streams
-from .sampler import init as sampler_init
 from .search import ProposalConfig, propose
 from .surrogate import FitConfig, cross_validated_fit
 from .world import make_world, world_spec_from_dict
@@ -61,6 +59,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolved_seed(value: int | None) -> int:
+    """The ``--seed`` value, else MIXLAB_SEED, else 0; noted on stderr."""
     if value is None:
         env = os.environ.get(ENV_SEED, "0")
         try:
@@ -69,6 +68,7 @@ def _resolved_seed(value: int | None) -> int:
             raise UsageError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
     if value < 0:
         raise UsageError(f"the seed must be >= 0, got {value}")
+    print(f"seed: {value}", file=sys.stderr)
     return value
 
 
@@ -207,20 +207,13 @@ def dispatch(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except MixLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MixLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
-
-
-def _note_seed(seed) -> None:
-    print(f"seed: {seed}", file=sys.stderr)
 
 
 def _cmd_aggregate(args) -> int:
@@ -268,7 +261,6 @@ def _cmd_heuristic(args) -> int:
 
 def _cmd_fit(args) -> int:
     seed = _resolved_seed(args.seed)
-    _note_seed(seed)
     fit_config = _config(FitConfig, args, seed=seed)
     suite = _load_suite(args.suite)
     records = read_records(args.records, suite=suite)
@@ -281,7 +273,6 @@ def _cmd_fit(args) -> int:
 
 def _cmd_propose(args) -> int:
     seed = _resolved_seed(args.seed)
-    _note_seed(seed)
     fit_config = _config(FitConfig, args, seed=seed)
     proposal_config = _config(ProposalConfig, args, seed=seed)
     suite = _load_suite(args.suite)
@@ -294,28 +285,23 @@ def _cmd_propose(args) -> int:
 
 def _cmd_sample(args) -> int:
     seed = _resolved_seed(args.seed)
-    _note_seed(seed)
     weights = read_mixture_file(args.weights)
     try:
         pool_sizes = [int(p) for p in args.pools.split(",") if p.strip()]
     except ValueError as exc:
         raise UsageError(f"--pools must be comma-separated integers: {exc}") from exc
-    # a run's data stream, drawn as grpo._task_streams draws it, so this prints
-    # what `simulate --seed` on these pools trains on
-    state = sampler_init(pool_sizes, weights, seed=run_streams(seed)[0])
     n = sum(pool_sizes) + 1  # a stream stops at the latest on the draw after its pools' last item
     if args.max_steps is not None:
         n = min(n, args.max_steps)
-    domains, ranks, lengths = draw_streams(
-        state.cumulative[None], state.weights[None], state.rng.random(n)[None], pool_sizes)
-    for domain, rank in zip(domains[0, :lengths[0]], ranks[0, :lengths[0]]):
-        print(f"({domain},{state.queues[domain][rank - 1]})")
+    # the trainer's own data stream, so this prints what `simulate --seed` on these pools trains on
+    domains, items, lengths, *_ = data_streams(pool_sizes, [RunSpec(weights, seed)], n)
+    for domain, item in zip(domains[0, :lengths[0]], items[0, :lengths[0]]):
+        print(f"({domain},{item})")
     return 0
 
 
 def _cmd_simulate(args) -> int:
     seed = _resolved_seed(args.seed)
-    _note_seed(seed)
     config = _config(GrpoConfig, args)
     spec = _read_config(args.world, world_spec_from_dict)
     world = make_world(spec, args.world_seed)
@@ -330,7 +316,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     config = _read_config(args.config, pipeline_config_from_dict)
-    _note_seed(config.base_seed)
+    print(f"seed: {config.base_seed}", file=sys.stderr)
     report = run_full(config, **_given(args, "refine_rounds"))
     write_report(report, args.out_dir)
     print(report.summary_table())

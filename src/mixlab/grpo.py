@@ -19,12 +19,13 @@ run's randomness never depends on its policy: the data stream is fixed by
 uniforms per step, so both are drawn in bulk before the first step (the two
 streams are :func:`run_streams`).  Runs that share a seed's stream key (the
 verification runs of a phase share one per stream) share those draws, so the
-set-up (:func:`_task_streams`) builds each key's generators, pool
-permutations and uniforms once, and does the mixture-dependent part (domain
-draws, exhaustion cut, task gather) for every run at once as ``(R, steps)``
-arrays.  A step then reads and writes one logit row, its run's row for its
-task's skill, so it waits only on the previous step of its run on that
-skill.  The trainer batches steps by that dependency
+set-up builds each key's generators, pool permutations and uniforms once, and
+does the mixture-dependent part (domain draws, exhaustion cut, task gather)
+for every run at once as ``(R, steps)`` arrays.  Its data half,
+:func:`data_streams`, is also what ``mixlab sample`` prints a row of.  A
+step then reads and writes one logit row, its run's row for its task's
+skill, so it waits only on the previous step of its run on that skill.  The
+trainer batches steps by that dependency
 (:func:`_level_schedule`): level ``l`` holds every step that is the ``l``-th
 of its run on its skill, all on distinct rows.  A phase takes as many levels
 as the most steps one run spends on one skill, not as many as a run takes
@@ -127,25 +128,23 @@ def _stream_key(seed: int | np.random.SeedSequence) -> tuple:
     return tuple(int(word) for word in np.atleast_1d(seq.entropy)), tuple(seq.spawn_key)
 
 
-def _task_streams(
-    world: SyntheticWorld,
+def data_streams(
+    pool_sizes: Sequence[int],
     runs: Sequence[RunSpec],
-    config: GrpoConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every run's task stream: ``(lengths, skills, golds, action_uniforms, key_of_run)``.
+    steps: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.random.SeedSequence]]:
+    """Every run's data stream: ``(domains, items, lengths, key_of_run, action_streams)``.
 
-    Runs with one stream key (:func:`_stream_key`) draw the same pool
-    permutations and uniforms, and a run of length ``n`` reads the first
-    ``n`` of them, so the generators and draws are made once per key: its
-    permutations (as each queue slot's skill), its ``steps`` data uniforms
-    and the leading rows of its ``(steps, G)`` action uniforms
-    ``action_uniforms[key]``, as many as its longest run takes.  What
-    depends on the mixture is done for all runs at once as ``(R, steps)``
-    arrays: the domain draw and exhaustion cut (:func:`draw_streams`) and
-    the gather of each step's skill and gold.  Steps at and past a run's
-    length are not part of its stream.
+    Step ``t`` of run ``r`` takes item ``items[r, t]`` of pool ``domains[r, t]``,
+    drawn from the run's data stream (:func:`run_streams`) by the sampler's
+    two-stage rule, for ``lengths[r]`` steps; later entries are pool 0's first
+    item.  Runs with one stream key (:func:`_stream_key`) share their pool
+    permutations and uniforms (a run of length ``n`` reads the first ``n``),
+    made once per key: ``key_of_run[r]`` is run ``r``'s key and
+    ``action_streams[key]`` its other stream.  The domain draws, exhaustion
+    cut (:func:`draw_streams`) and item gather are done for all runs at once
+    as ``(R, steps)`` arrays.
     """
-    steps, pool_sizes = config.steps, world.spec.pool_sizes
     key_of_run = np.zeros(len(runs), dtype=np.int64)
     key_index: dict[tuple, int] = {}
     key_runs: list[RunSpec] = []  # the first run of each key
@@ -156,31 +155,50 @@ def _task_streams(
             key_runs.append(run)
         key_of_run[r] = key_index[stream_key]
 
-    offsets = np.cumsum((0,) + pool_sizes[:-1])
-    item_offsets = np.repeat(offsets, pool_sizes)
-    pooled_skills = np.concatenate(world.pools)
-    skill_queues = np.empty((len(key_runs), sum(pool_sizes)), dtype=np.int64)
-    data_uniforms = np.empty((len(key_runs), steps))
-    action_rngs = []
+    # one sampler alive at a time; the first checks the pool sizes before any array is sized by them
+    action_streams = []
     for key, run in enumerate(key_runs):
         data_stream, action_stream = run_streams(run.seed)
         state = sampler_init(pool_sizes, run.mixture, seed=data_stream)
-        skill_queues[key] = pooled_skills[np.concatenate(state.queues) + item_offsets]
-        state.rng.random(out=data_uniforms[key])
-        action_rngs.append(np.random.default_rng(action_stream))
+        if key == 0:
+            queues = np.empty((len(key_runs), sum(pool_sizes)), dtype=np.int64)
+            uniforms = np.empty((len(key_runs), steps))
+        np.concatenate(state.queues, out=queues[key])
+        state.rng.random(out=uniforms[key])
+        action_streams.append(action_stream)
+    if not key_runs:
+        queues, uniforms = np.empty((0, 0), dtype=np.int64), np.empty((0, steps))
+    weights = np.array([run.mixture.weights for run in runs], dtype=float).reshape(len(runs), len(pool_sizes))
+    domains, ranks, lengths = draw_streams(weights, uniforms[key_of_run], np.asarray(pool_sizes))
+    # steps past a run's end read a valid slot: pool 0's first item
+    taken = np.arange(steps) < lengths[:, None]
+    domains = np.where(taken, domains, 0)
+    slots = np.where(taken, np.cumsum([0, *pool_sizes[:-1]])[domains] + ranks - 1, 0)
+    return domains, queues[key_of_run[:, None], slots], lengths, key_of_run, action_streams
 
-    weights = np.array([run.mixture.weights for run in runs], dtype=float).reshape(len(runs), world.m)
-    domains, ranks, lengths = draw_streams(
-        np.cumsum(weights, axis=1), weights, data_uniforms[key_of_run], np.asarray(pool_sizes))
-    slots = np.where(np.arange(steps) < lengths[:, None], offsets[domains] + ranks - 1, 0)
-    skills = skill_queues[key_of_run[:, None], slots]
+
+def _task_streams(
+    world: SyntheticWorld,
+    runs: Sequence[RunSpec],
+    config: GrpoConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every run's task stream: ``(lengths, skills, golds, action_uniforms, key_of_run)``.
+
+    The data half is :func:`data_streams`: a step's skill is its item's in
+    its domain's pool, and its gold that skill's answer.  Each stream key's
+    ``(steps, G)`` action uniforms ``action_uniforms[key]`` are drawn once,
+    in as many leading rows as its longest run takes.  Steps at and past a
+    run's length are not part of its stream.
+    """
+    domains, items, lengths, key_of_run, action_streams = data_streams(world.spec.pool_sizes, runs, config.steps)
+    skills = np.concatenate(world.pools)[np.cumsum([0, *world.spec.pool_sizes[:-1]])[domains] + items]
 
     # a key's action uniforms cover the steps its longest run takes
-    longest = np.zeros(len(key_runs), dtype=np.int64)
+    longest = np.zeros(len(action_streams), dtype=np.int64)
     np.maximum.at(longest, key_of_run, lengths)
-    action_uniforms = np.zeros((len(key_runs), steps, config.group_size))
-    for key, rng in enumerate(action_rngs):
-        rng.random(out=action_uniforms[key, :longest[key]])
+    action_uniforms = np.zeros((len(action_streams), config.steps, config.group_size))
+    for key, stream in enumerate(action_streams):
+        np.random.default_rng(stream).random(out=action_uniforms[key, :longest[key]])
     return lengths, skills, world.answer_map[skills], action_uniforms, key_of_run
 
 

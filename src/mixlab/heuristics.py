@@ -44,7 +44,7 @@ from .errors import (
     MixLabWarning,
     SingularSystem,
 )
-from .mixtures import MixtureWeights, normalize_to_simplex
+from .mixtures import MixtureWeights, normalize_to_simplex, seed_all
 from .records import BenchmarkSpec, PerformanceRecord, weighted_aggregate
 
 # Affine transform constants mapping normalized exclude-one scores to raw
@@ -127,7 +127,7 @@ def alpha_weights(
     norm_in = _min_max(s_in, "In score sums")
     norm_out = _min_max(s_out, "Out score sums")
     if norm_in is None or norm_out is None:
-        return MixtureWeights(tuple([1.0 / m] * m))
+        return seed_all(m)
 
     combined = cfg.alpha * norm_in + (1.0 - cfg.alpha) * norm_out
     return normalize_to_simplex(combined)
@@ -194,6 +194,6 @@ def leave_one_out_weights(
     out_scores = np.array(weighted_aggregate(excluded, suite, "out"))
     normalized = _min_max(out_scores, "exclude-one out scores")
     if normalized is None:
-        return MixtureWeights(tuple([1.0 / m] * m))
+        return seed_all(m)
     raw = LOO_OFFSET - LOO_SLOPE * normalized
     return normalize_to_simplex(raw)

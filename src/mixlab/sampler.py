@@ -34,7 +34,6 @@ class SamplerState:
     queues: list[np.ndarray]
     positions: list[int]
     rng: np.random.Generator
-    cumulative: np.ndarray
     weights: np.ndarray
     steps_emitted: int = 0
     finished: bool = False
@@ -59,22 +58,22 @@ def init(
         queues=queues,
         positions=[0] * len(queues),
         rng=rng,
-        cumulative=np.cumsum(weights.to_array()),
         weights=weights.to_array(),
     )
 
 
-def draw_domains(cumulative: np.ndarray, weights: np.ndarray, u):
+def draw_domains(weights: np.ndarray, u):
     """Inverse-CDF domain draw for one uniform or an array of them.
 
-    ``cumulative`` and ``weights`` are one mixture's ``(m,)`` arrays, or
-    ``(rows, m)`` with ``u`` ``(rows, n)``, a mixture per row.  The domain is
-    the number of cumulative weights at or below ``u``.  When ``u`` lands at
-    or past the accumulated sum (rounding), it falls back to the last
-    positively weighted domain: a zero-weight domain adds no width to the
-    CDF, so only that overshoot can name one.
+    ``weights`` is one mixture's ``(m,)`` array, or ``(rows, m)`` with ``u``
+    ``(rows, n)``, a mixture per row.  The domain is the number of cumulative
+    weights (their running sum along the last axis) at or below ``u``.  When
+    ``u`` lands at or past the accumulated sum (rounding), it falls back to
+    the last positively weighted domain: a zero-weight domain adds no width
+    to the CDF, so only that overshoot can name one.
     """
-    if cumulative.ndim == 2:  # a column per domain, each entry compared with its row's uniforms
+    cumulative = np.cumsum(weights, axis=-1)
+    if weights.ndim == 2:  # a column per domain, each entry compared with its row's uniforms
         cumulative, weights = cumulative[:, None], weights[:, None]
     last_positive = weights.shape[-1] - 1 - (weights[..., ::-1] > 0.0).argmax(axis=-1)
     return np.minimum(sum(column <= u for column in np.moveaxis(cumulative, -1, 0)), last_positive)
@@ -84,7 +83,7 @@ def next_sample(state: SamplerState) -> tuple[int, int] | None:
     """Next (domain index, item index), or None once the stream has stopped."""
     if state.finished:
         return None
-    domain = int(draw_domains(state.cumulative, state.weights, state.rng.random()))
+    domain = int(draw_domains(state.weights, state.rng.random()))
     if state.remaining(domain) == 0:
         state.finished = True
         return None
@@ -95,7 +94,6 @@ def next_sample(state: SamplerState) -> tuple[int, int] | None:
 
 
 def draw_streams(
-    cumulative: np.ndarray,
     weights: np.ndarray,
     uniforms: np.ndarray,
     available: np.ndarray,
@@ -103,17 +101,17 @@ def draw_streams(
     """Stop-on-exhaustion streams of many mixtures at once: ``(domains, ranks, lengths)``.
 
     Row ``r`` draws its domains from ``uniforms[r]`` with :func:`draw_domains`
-    over ``cumulative[r]`` and ``weights[r]``.  ``ranks[r, t]`` is how many
-    times ``domains[r, t]`` was drawn up to and including step ``t``.  A row
-    stops at its first draw of a domain ``d`` drawn more often than
-    ``available[d]`` items allow; ``lengths[r]`` counts the steps before it,
-    and entries from there on are not part of its stream.  Both loop over
-    the domains, so no ``(rows, steps, m)`` array is built.
+    over the mixture ``weights[r]``.  ``ranks[r, t]`` is how many times
+    ``domains[r, t]`` was drawn up to and including step ``t``.  A row stops
+    at its first draw of a domain ``d`` drawn more often than ``available[d]``
+    items allow; ``lengths[r]`` counts the steps before it, and entries from
+    there on are not part of its stream.  Both loop over the domains, so no
+    ``(rows, steps, m)`` array is built.
     """
-    domains = draw_domains(cumulative, weights, uniforms)
+    domains = draw_domains(weights, uniforms)
     ranks = np.zeros_like(domains)
     dry = np.zeros(uniforms.shape, dtype=bool)
-    for d in range(cumulative.shape[1]):
+    for d in range(weights.shape[1]):
         hits = domains == d
         count = np.cumsum(hits, axis=1)
         np.copyto(ranks, count, where=hits)

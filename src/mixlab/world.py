@@ -171,19 +171,13 @@ def make_world(spec: WorldSpec, seed: int) -> SyntheticWorld:
     )
 
 
-def benchmark_scores(world: SyntheticWorld, theta: np.ndarray) -> dict[str, float] | list[dict[str, float]]:
-    """Exact argmax accuracy of a policy matrix on every benchmark.
-
-    ``theta`` is one policy ``(k, A)``, scored as one dict, or a stack of
-    policies ``(R, k, A)``, scored as a list of R dicts from one argmax over
-    the stack.  Each policy's scores are one ``np.dot`` per benchmark.
-    """
-    if theta.ndim not in (2, 3) or theta.shape[-2:] != (world.k, world.A):
-        raise InvalidSpec(f"policy shape {theta.shape} does not match world ({world.k}, {world.A})")
+def benchmark_scores(world: SyntheticWorld, theta: np.ndarray) -> list[dict[str, float]]:
+    """Exact argmax accuracy on every benchmark of each policy in a stack ``(R, k, A)``, a dict per policy."""
+    if theta.ndim != 3 or theta.shape[1:] != (world.k, world.A):
+        raise InvalidSpec(f"policy shape {theta.shape} does not match world (R, {world.k}, {world.A})")
     correct = (theta.argmax(axis=-1) == world.answer_map).astype(float)
     weights = [(bench.name, np.asarray(bench.skill_weights)) for bench in world.benchmarks]
-    scores = [{name: float(np.dot(w, row)) for name, w in weights} for row in correct.reshape(-1, world.k)]
-    return scores if theta.ndim == 3 else scores[0]
+    return [{name: float(np.dot(w, row)) for name, w in weights} for row in correct]
 
 
 def _tuples(value):

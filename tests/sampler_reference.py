@@ -43,8 +43,7 @@ def sample_stdout(weights: MixtureWeights, pool_sizes: list[int], seed: int, max
 def bulk(state: SamplerState, max_steps: int) -> list[tuple[int, int]]:
     """A fresh state's stream as :func:`draw_streams` with one row gives it, items gathered here."""
     domains, ranks, lengths = draw_streams(
-        state.cumulative[None], state.weights[None], state.rng.random(max_steps)[None],
-        np.array([len(queue) for queue in state.queues]))
+        state.weights[None], state.rng.random(max_steps)[None], np.array([len(queue) for queue in state.queues]))
     n = int(lengths[0])
     return [(int(d), int(state.queues[d][r - 1])) for d, r in zip(domains[0, :n], ranks[0, :n])]
 
@@ -66,9 +65,8 @@ def empirical_frequencies(
     sizes = pool_sizes if pool_sizes is not None else [n] * m
     if len(sizes) != m:
         raise DimensionMismatch(f"{len(sizes)} pool sizes for {m} domains")
-    weight_array = weights.to_array()
     u = np.random.default_rng(seed).random(n)
-    draws = draw_domains(np.cumsum(weight_array), weight_array, u)
+    draws = draw_domains(weights.to_array(), u)
     counts = np.bincount(draws, minlength=m)
     over = [d for d in range(m) if counts[d] > sizes[d]]
     if over:

@@ -282,7 +282,7 @@ class TestTrainWithMixture:
         values = []
         for seed in range(100):
             world = tiny_world(seed=seed)
-            scores = benchmark_scores(world, np.zeros((20, 4)))
+            scores = benchmark_scores(world, np.zeros((1, 20, 4)))[0]
             values.append(scores["out-all"])
         assert np.mean(values) == pytest.approx(0.25, abs=0.03)
 
@@ -366,7 +366,7 @@ def assert_lockstep_matches_reference(world, config, runs):
         assert np.array_equal(theta[r], ref_theta), f"run {r} theta differs"
         assert steps[r] == ref_steps
         assert records[r].step == ref_steps
-        assert records[r].scores == benchmark_scores(world, ref_theta)
+        assert records[r].scores == benchmark_scores(world, ref_theta[None])[0]
         assert records[r].id == run.record_id
     return steps
 
@@ -537,8 +537,8 @@ class TestLevelSchedule:
         runs = [RunSpec(mix, 80 + i, f"run{i}") for i, mix in enumerate(RUN_MIXTURES)]
         original = grpo.draw_streams
 
-        def first_run_dry(cumulative, weights, uniforms, available):
-            domains, ranks, lengths = original(cumulative, weights, uniforms, available)
+        def first_run_dry(weights, uniforms, available):
+            domains, ranks, lengths = original(weights, uniforms, available)
             lengths[0] = 0  # row 0 is the first run
             return domains, ranks, lengths
 
@@ -552,20 +552,21 @@ class TestLevelSchedule:
 
 
 def per_run_streams(world, run, config):
-    """One run's stream the per-run way: (length, skills, golds, action uniforms of the taken steps)."""
+    """One run's stream the per-run way: (length, (domain, item) draws, skills, golds, taken steps' uniforms)."""
     data_stream, action_stream = run_streams(run.seed)
     state = sampler_init(world.spec.pool_sizes, run.mixture, seed=data_stream)
-    tasks = []
-    while len(tasks) < config.steps:
+    draws = []
+    while len(draws) < config.steps:
         drawn = next_sample(state)
         if drawn is None:
             break
-        tasks.append(world.task(*drawn))
+        draws.append(drawn)
+    tasks = [world.task(*drawn) for drawn in draws]
     n = len(tasks)
     uniforms = np.zeros((config.steps, config.group_size))
     np.random.default_rng(action_stream).random(out=uniforms[:n])
     skills, golds = (np.array([task[i] for task in tasks], dtype=np.int64) for i in range(2))
-    return n, skills, golds, uniforms[:n]
+    return n, draws, skills, golds, uniforms[:n]
 
 
 @st.composite
@@ -598,11 +599,14 @@ class TestTaskStreams:
     def test_matches_per_run_path(self, case):
         world, config, runs = case
         lengths, skills, golds, uniforms, key_of_run = grpo._task_streams(world, runs, config)
+        domains, items, data_lengths, data_keys, _ = grpo.data_streams(world.spec.pool_sizes, runs, config.steps)
         assert lengths.shape == key_of_run.shape == (len(runs),)
-        assert skills.shape == golds.shape == (len(runs), config.steps)
+        assert skills.shape == golds.shape == domains.shape == items.shape == (len(runs), config.steps)
+        assert np.array_equal(data_lengths, lengths) and np.array_equal(data_keys, key_of_run)
         for r, run in enumerate(runs):
-            n, want_skills, want_golds, want_uniforms = per_run_streams(world, run, config)
+            n, want_draws, want_skills, want_golds, want_uniforms = per_run_streams(world, run, config)
             assert lengths[r] == n
+            assert list(zip(domains[r, :n].tolist(), items[r, :n].tolist())) == want_draws
             assert np.array_equal(skills[r, :n], want_skills)
             assert np.array_equal(golds[r, :n], want_golds)
             assert np.array_equal(uniforms[key_of_run[r], :n], want_uniforms)

@@ -124,7 +124,7 @@ class TestBenchmarkScores:
         world = make_world(spec, seed=0)
         theta = np.zeros((6, 3))
         theta[np.arange(6), world.answer_map] = 5.0
-        for value in benchmark_scores(world, theta).values():
+        for value in benchmark_scores(world, theta[None])[0].values():
             assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_shape_guard(self):

@@ -29,6 +29,7 @@ from .records import (
     read_records,
     read_suite,
     serialize_record,
+    stream_records,
     summarize,
 )
 from .search import ProposalConfig, propose
@@ -218,12 +219,8 @@ def main() -> None:
 
 def _cmd_aggregate(args) -> int:
     suite = _load_suite(args.suite)
-    records = read_records(args.records, suite=suite)
-    summaries = summarize(records, suite)
-    # the records go before the rows are printed: kept alive with the summaries, they leave
-    # pymalloc's arenas more fragmented for later commands in the same process
-    ids = [record.id for record in records]
-    del records
+    ids: list[str] = []
+    summaries = summarize(_ids_into(stream_records(args.records, suite), ids), suite)
     if args.pretty:
         print(f"{'id':<16} {'in-score':>9} {'out-score':>9}")
         for rid, s in zip(ids, summaries):
@@ -232,6 +229,13 @@ def _cmd_aggregate(args) -> int:
         for rid, s in zip(ids, summaries):
             print(json.dumps({"id": rid, "in_score": s.in_score, "out_score": s.out_score}))
     return 0
+
+
+def _ids_into(records, ids: list[str]):
+    """``records`` as they come, each one's id appended to ``ids`` on the way."""
+    for record in records:
+        ids.append(record.id)
+        yield record
 
 
 # the flags (and their dest) that only one heuristic reads
@@ -263,8 +267,7 @@ def _cmd_fit(args) -> int:
     seed = _resolved_seed(args.seed)
     fit_config = _config(FitConfig, args, seed=seed)
     suite = _load_suite(args.suite)
-    records = read_records(args.records, suite=suite)
-    model, report = cross_validated_fit(records, fit_config, suite=suite)
+    model, report = cross_validated_fit(stream_records(args.records, suite), fit_config, suite=suite)
     print(json.dumps({"model": model.to_dict(), "report": report.to_dict()}))
     if args.out:
         model.save(args.out)
@@ -276,8 +279,7 @@ def _cmd_propose(args) -> int:
     fit_config = _config(FitConfig, args, seed=seed)
     proposal_config = _config(ProposalConfig, args, seed=seed)
     suite = _load_suite(args.suite)
-    records = read_records(args.records, suite=suite)
-    result = propose(records, fit_config, proposal_config, suite=suite)
+    result = propose(stream_records(args.records, suite), fit_config, proposal_config, suite=suite)
     for mixture, score in result.candidates:
         print(f"{format_mixture(mixture)}\t{score:.10g}")
     return 0

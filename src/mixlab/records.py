@@ -18,6 +18,15 @@ bulk: all scores at once, and weights that are floats in [0, 1] with a
 ``math.fsum`` within ``SIMPLEX_ATOL`` of 1 wrap without :func:`validate`.
 Scores or weights that fail a bulk check are checked again one value at a
 time, so the fault raised is the first.
+
+:func:`stream_records` yields each record as its line is read, and
+:func:`read_records` is the list of them.  ``mixlab aggregate``, ``fit`` and
+``propose`` stream: :func:`summarize` and ``surrogate.fitting_rows`` keep only
+the columns they use, never the whole record list.  A fault in the records'
+meaning (a missing group member, a mixture of another length) is held until
+the stream has ended and raised then, so a parse fault on any line, earlier
+or later, still wins.  ``mixlab heuristic`` and a pipeline that reads a
+records file read the whole list.
 """
 
 from __future__ import annotations
@@ -27,13 +36,14 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .config import check_types
 from .errors import (
     EmptyGroup,
     MalformedLine,
     MissingBenchmark,
+    MixLabError,
     ScoreOutOfRange,
     UnknownBenchmark,
 )
@@ -75,37 +85,71 @@ class ScoreSummary:
     out_score: float
 
 
+def group_scorer(suite: Sequence[BenchmarkSpec], group: str) -> Callable[[Mapping[str, float]], float]:
+    """The rule that scores one mapping on one benchmark group: the sample-count-weighted average.
+
+    Every group member must be present in the mapping; a missing benchmark is
+    a MissingBenchmark rather than a silent reweighting, because dropping it
+    would change the score invisibly.  A group without members is an
+    EmptyGroup, raised when the first mapping is scored.
+    """
+    members = [b for b in suite if b.group == group]
+    total = sum(b.count for b in members)
+
+    def score(scores: Mapping[str, float]) -> float:
+        if not members:
+            raise EmptyGroup(f"no benchmarks in group {group!r}")
+        try:
+            return math.fsum(b.count * scores[b.name] for b in members) / total
+        except KeyError:
+            missing = [b.name for b in members if b.name not in scores]
+            raise MissingBenchmark(f"missing scores for {missing} in group {group!r}") from None
+
+    return score
+
+
 def weighted_aggregate(
-    score_rows: Sequence[Mapping[str, float]],
+    score_rows: Iterable[Mapping[str, float]],
     suite: Sequence[BenchmarkSpec],
     group: str,
 ) -> list[float]:
-    """Sample-count-weighted average score over one benchmark group, for each mapping in order.
+    """:func:`group_scorer`'s score of each mapping in order, consuming ``score_rows`` once.
 
-    Every group member must be present in each mapping; missing benchmarks
-    are an error rather than a silent reweighting, because dropping a
-    benchmark would change the aggregate invisibly.  An empty batch is ``[]``
-    whatever the group.
+    An empty batch is ``[]`` whatever the group.
     """
-    if not score_rows:
-        return []
-    members = [b for b in suite if b.group == group]
-    if not members:
-        raise EmptyGroup(f"no benchmarks in group {group!r}")
-    total = sum(b.count for b in members)
-    try:
-        return [math.fsum(b.count * scores[b.name] for b in members) / total for scores in score_rows]
-    except KeyError:
-        scores = next(s for s in score_rows if not all(b.name in s for b in members))
-        missing = [b.name for b in members if b.name not in scores]
-        raise MissingBenchmark(f"missing scores for {missing} in group {group!r}") from None
+    return list(map(group_scorer(suite, group), score_rows))
 
 
-def summarize(records: Sequence[PerformanceRecord], suite: Sequence[BenchmarkSpec]) -> list[ScoreSummary]:
-    """Each record's In- and Out-score, in order."""
-    score_rows = [record.scores for record in records]
-    return list(map(ScoreSummary, weighted_aggregate(score_rows, suite, "in"),
-                    weighted_aggregate(score_rows, suite, "out")))
+def summarize(records: Iterable[PerformanceRecord], suite: Sequence[BenchmarkSpec]) -> list[ScoreSummary]:
+    """Each record's In- and Out-score, in order, in one pass over ``records``.
+
+    A scoring fault is raised once ``records`` is spent, so a parse fault on
+    any line of a streamed file (:func:`stream_records`) still comes first.
+    An In-score fault comes before any Out-score fault, and each is the first
+    of its group, as if each group were scored over the whole batch in turn.
+    """
+    scorers = [group_scorer(suite, group) for group in GROUPS]
+    faults: list[MixLabError | None] = [None] * len(GROUPS)
+    summaries = []
+    for record in records:
+        scores = []
+        for index, score in enumerate(scorers):
+            if faults[index] is None:
+                try:
+                    scores.append(score(record.scores))
+                except MixLabError as exc:
+                    faults[index] = exc
+        if len(scores) == len(GROUPS):
+            summaries.append(ScoreSummary(*scores))
+    raise_first(faults)
+    return summaries
+
+
+def raise_first(faults: Iterable[MixLabError | None]) -> None:
+    """Raise the first fault that is not None, if any: a fault met mid-stream, raised once it has ended."""
+    for fault in faults:
+        if fault is not None:
+            raise fault
 
 
 # --- JSONL record schema -----------------------------------------------------
@@ -154,8 +198,12 @@ def parse_records(
     holding a character that UTF-8 cannot encode (a byte that was not UTF-8,
     under ``errors="surrogateescape"``) is a MalformedLine.
     """
+    return list(_parsed(lines, suite))
+
+
+def _parsed(lines: Iterable[str], suite: Sequence[BenchmarkSpec] | None) -> Iterator[PerformanceRecord]:
+    """:func:`parse_records`, one record at a time as each line is read."""
     known = {b.name for b in suite} if suite is not None else None
-    out: list[PerformanceRecord] = []
     for line_number, line in enumerate(lines, start=1):
         if not line.isascii():
             try:
@@ -167,9 +215,8 @@ def parse_records(
             if not line.strip():
                 continue
             obj = decode_line(line, line_number)
-        out.append(_record(obj, line_number, known))
+        yield _record(obj, line_number, known)
         del obj  # freed before the next decode, so its blocks are reused, not left between records
-    return out
 
 
 def _record(obj, line_number: int, known: set[str] | None) -> PerformanceRecord:
@@ -253,11 +300,17 @@ def write_records(records: Sequence[PerformanceRecord], path: str | Path) -> Non
     Path(path).write_text("".join(serialize_record(r) + "\n" for r in records))
 
 
-def read_records(path: str | Path, suite: Sequence[BenchmarkSpec] | None = None) -> list[PerformanceRecord]:
-    # a byte that is not UTF-8 reaches parse_records as a lone surrogate on its own line,
+def stream_records(path: str | Path, suite: Sequence[BenchmarkSpec] | None = None) -> Iterator[PerformanceRecord]:
+    """The records of a JSONL file, yielded as its lines are read; see :func:`parse_records`."""
+    # a byte that is not UTF-8 reaches the parser as a lone surrogate on its own line,
     # so the error names that line, and faults on earlier lines still come first
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        return parse_records(fh, suite=suite)
+        yield from _parsed(fh, suite)
+
+
+def read_records(path: str | Path, suite: Sequence[BenchmarkSpec] | None = None) -> list[PerformanceRecord]:
+    """Every record of a JSONL file, as a list."""
+    return list(stream_records(path, suite))
 
 
 # --- benchmark suite files ---------------------------------------------------

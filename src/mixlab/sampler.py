@@ -25,6 +25,10 @@ from .errors import DegenerateCatalog, DimensionMismatch
 from .mixtures import MixtureWeights
 
 MAX_POOL_SIZE = int(np.iinfo(np.intp).max)  # the longest array numpy can make
+# A stream's queue row holds every pool's items as int64, and its uniform row one
+# draw more as float64; numpy counts an array's bytes in an intp, so 8 * (total + 1)
+# must fit one.  A total under this bound may still not fit in memory.
+MAX_POOL_TOTAL = MAX_POOL_SIZE // 8 - 1
 
 
 @dataclass
@@ -52,6 +56,8 @@ def init(
         raise DimensionMismatch(f"weights have {weights.m} entries for {len(pool_sizes)} pools")
     if any(not 1 <= size <= MAX_POOL_SIZE for size in pool_sizes):
         raise DegenerateCatalog(f"pool sizes must lie in [1, {MAX_POOL_SIZE}], got {list(pool_sizes)}")
+    if sum(pool_sizes) > MAX_POOL_TOTAL:
+        raise DegenerateCatalog(f"pool sizes must total at most {MAX_POOL_TOTAL}, got {sum(pool_sizes)}")
     rng = np.random.default_rng(seed)
     queues = [rng.permutation(size) for size in pool_sizes]
     return SamplerState(

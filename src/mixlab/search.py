@@ -23,14 +23,15 @@ one-draw sampler the tests compare against.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .config import check_types
 from .errors import EmptyCandidates, MixLabError, NoSurvivors, TooFewPoints
-from .mixtures import MixtureWeights
+from .mixtures import MixtureWeights, weight_rows
 from .records import BenchmarkSpec, PerformanceRecord
 from .surrogate import FitConfig, FitReport, SurrogateModel, cross_validated_fit, predict_many
 
@@ -68,11 +69,11 @@ class ProposalResult:
     report: FitReport
 
 
-def fit_gaussian(mixtures: Sequence[MixtureWeights], jitter: float = DEFAULT_JITTER) -> GaussianModel:
+def fit_gaussian(mixtures: Sequence[MixtureWeights] | np.ndarray, jitter: float = DEFAULT_JITTER) -> GaussianModel:
     """Component-wise mean and maximum-likelihood covariance plus jitter * I."""
     if len(mixtures) < 2:
         raise TooFewPoints(f"need at least 2 mixtures, got {len(mixtures)}")
-    W = np.array([mx.weights for mx in mixtures], dtype=float)
+    W = weight_rows(mixtures)
     mean = W.mean(axis=0)
     centered = W - mean
     cov = centered.T @ centered / W.shape[0]
@@ -140,7 +141,7 @@ def rank_candidates(
 
 
 def propose(
-    records: Sequence[PerformanceRecord],
+    records: Iterable[PerformanceRecord],
     fit_config: FitConfig = FitConfig(),
     proposal_config: ProposalConfig = ProposalConfig(),
     *,
@@ -150,11 +151,12 @@ def propose(
 
     Only records with explicit weight vectors participate; the untrained
     baseline row (no mixture) is excluded from both the surrogate fit and the
-    Gaussian fit.
+    Gaussian fit.  ``records`` is read once, so it may be a stream: the
+    Gaussian's mixtures are taken as the fit reads them.
     """
-    model, report = cross_validated_fit(records, fit_config, suite=suite)
-    observed = [r.weights for r in records if r.weights is not None]
-    gaussian = fit_gaussian(observed, jitter=proposal_config.jitter)
+    observed = array("d")  # each weighted record's weights, one after another
+    model, report = cross_validated_fit(_weights_into(records, observed), fit_config, suite=suite)
+    gaussian = fit_gaussian(np.frombuffer(observed).reshape(-1, model.m), jitter=proposal_config.jitter)
     if proposal_config.k == 0:
         return ProposalResult(candidates=[], model=model, report=report)
     rng = np.random.default_rng(proposal_config.seed)
@@ -167,3 +169,11 @@ def propose(
         )
     ranked = rank_candidates(model, candidates, k)
     return ProposalResult(candidates=ranked, model=model, report=report)
+
+
+def _weights_into(records: Iterable[PerformanceRecord], observed: array) -> Iterator[PerformanceRecord]:
+    """``records`` as they come, each one's weights, when it has them, appended to ``observed`` on the way."""
+    for record in records:
+        if record.weights is not None:
+            observed.extend(record.weights.weights)
+        yield record

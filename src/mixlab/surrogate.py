@@ -14,16 +14,18 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import check_types
-from .errors import DimensionMismatch, InsufficientRecords, ZeroVariance
-from .mixtures import MixtureWeights
-from .records import BenchmarkSpec, PerformanceRecord, weighted_aggregate
+from .errors import DimensionMismatch, InsufficientRecords, MixLabError, ZeroVariance
+from .mixtures import MixtureWeights, weight_rows
+from .records import BenchmarkSpec, PerformanceRecord, group_scorer, raise_first
+from .records import weighted_aggregate  # noqa: F401  (unused; perfbench/tracing.py patches this binding)
 
 
 def quadratic_pairs(m: int) -> list[tuple[int, int]]:
@@ -31,17 +33,21 @@ def quadratic_pairs(m: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(m) for j in range(i, m)]
 
 
-def design_matrix(mixtures: Sequence[MixtureWeights], degree: int) -> np.ndarray:
+def design_matrix(mixtures: Sequence[MixtureWeights] | np.ndarray, degree: int) -> np.ndarray:
     """Scheffe rows [w_1..w_m] for degree 1, plus all w_i*w_j (i < j) for degree 2."""
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
-    if not mixtures:
+    if len(mixtures) == 0:
         raise ValueError("need at least one mixture")
-    W = np.array([mx.weights for mx in mixtures], dtype=float)
+    W = weight_rows(mixtures)
     if degree == 1:
         return W
-    rows, cols = np.triu_indices(W.shape[1], k=1)
-    return np.hstack([W, W[:, rows] * W[:, cols]])
+    m = W.shape[1]
+    X = np.empty((W.shape[0], m + m * (m - 1) // 2))
+    X[:, :m] = W
+    for column, (i, j) in enumerate(zip(*np.triu_indices(m, k=1)), start=m):  # no (n, pairs) temporaries
+        np.multiply(W[:, i], W[:, j], out=X[:, column])
+    return X
 
 
 def least_squares_fit(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -201,29 +207,59 @@ class FitReport:
 
 
 def fitting_rows(
-    records: Sequence[PerformanceRecord],
+    records: Iterable[PerformanceRecord],
     target: str,
     *,
     suite: Sequence[BenchmarkSpec],
-) -> tuple[list[MixtureWeights], np.ndarray]:
-    """Extract (mixture, target score) pairs from records that carry weights.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n, m)`` mixtures of the records that carry weights, and their target scores, in one pass.
 
     Records without an explicit weight vector are skipped: they can't anchor a
-    point on the simplex.
+    point on the simplex.  Only the weights and target values are kept, as
+    flat float arrays, so ``records`` may be a stream
+    (:func:`~mixlab.records.stream_records`).  A fault is raised once the
+    stream has ended, so a parse fault on any line still comes first: a
+    mixture whose length differs from the first's or a missing target
+    benchmark, at the first such record, before a fault in scoring the
+    target group.
     """
-    weighted = [record for record in records if record.weights is not None]
-    for record in weighted:
-        if record.weights.m != weighted[0].weights.m:
-            raise DimensionMismatch(
-                f"record {record.id!r} has {record.weights.m} weights, "
-                f"the first weighted record has {weighted[0].weights.m}")
-        if target not in ("in", "out") and target not in record.scores:
-            raise DimensionMismatch(f"record {record.id!r} has no score for {target!r}")
-    if target in ("in", "out"):
-        values = weighted_aggregate([record.scores for record in weighted], suite, target)
-    else:
-        values = [record.scores[target] for record in weighted]
-    return [record.weights for record in weighted], np.asarray(values, dtype=float)
+    score = group_scorer(suite, target) if target in ("in", "out") else None
+    m = 0
+    rows, values = array("d"), array("d")  # the kept mixtures' weights, row after row, and their targets
+    faults: list[MixLabError | None] = [None, None]  # the first row fault, the first scoring fault
+    for record in records:
+        weights = record.weights
+        if weights is None or faults[0] is not None:
+            continue
+        m = m or weights.m
+        if weights.m != m:
+            faults[0] = DimensionMismatch(
+                f"record {record.id!r} has {weights.m} weights, the first weighted record has {m}")
+        elif score is None and target not in record.scores:
+            faults[0] = DimensionMismatch(f"record {record.id!r} has no score for {target!r}")
+        elif faults[1] is None:
+            rows.extend(weights.weights)
+            try:
+                values.append(record.scores[target] if score is None else score(record.scores))
+            except MixLabError as exc:
+                faults[1] = exc
+    raise_first(faults)
+    return np.frombuffer(rows).reshape(len(values), m), np.frombuffer(values)
+
+
+def _fit_split(
+    W: np.ndarray, y: np.ndarray, train_idx: np.ndarray, test_idx: np.ndarray, degree: int,
+) -> tuple[np.ndarray, float, float]:
+    """One split's Scheffe coefficients, train R^2 and test R^2.
+
+    Its design rows are built from its own mixtures: the same values as those
+    rows of the whole design matrix, which is never held.  They are freed on
+    return, before the next split builds its own.
+    """
+    X_train = design_matrix(W[train_idx], degree)
+    beta = least_squares_fit(X_train, y[train_idx])
+    return (beta, _r_squared_or_nan(X_train @ beta, y[train_idx]),
+            _r_squared_or_nan(design_matrix(W[test_idx], degree) @ beta, y[test_idx]))
 
 
 def cross_validated_fit(
@@ -240,13 +276,11 @@ def cross_validated_fit(
     Splits whose drawn rows have constant scores carry R^2 = NaN and are
     skipped when choosing the winner.
     """
-    mixtures, y = fitting_rows(records, target=config.target, suite=suite)
-    n = len(mixtures)
+    W, y = fitting_rows(records, target=config.target, suite=suite)
+    n, m = W.shape
     if n < 5:
         raise InsufficientRecords(f"need at least 5 weighted records, got {n}")
 
-    m = mixtures[0].m
-    X = design_matrix(mixtures, config.degree)
     n_train = math.ceil((1.0 - config.test_fraction) * n)
     if n_train == n:
         raise InsufficientRecords(
@@ -258,11 +292,10 @@ def cross_validated_fit(
     test_scores: list[float] = []
     for _ in range(config.n_splits):
         perm = rng.permutation(n)
-        train_idx, test_idx = perm[:n_train], perm[n_train:]
-        beta = least_squares_fit(X[train_idx], y[train_idx])
+        beta, train_r2, test_r2 = _fit_split(W, y, perm[:n_train], perm[n_train:], config.degree)
         models.append(model_from_coefficients(beta, m, config.degree))
-        train_scores.append(_r_squared_or_nan(X[train_idx] @ beta, y[train_idx]))
-        test_scores.append(_r_squared_or_nan(X[test_idx] @ beta, y[test_idx]))
+        train_scores.append(train_r2)
+        test_scores.append(test_r2)
 
     if all(math.isnan(v) for v in test_scores):
         raise ZeroVariance("every split drew test rows with identical scores")
@@ -270,7 +303,7 @@ def cross_validated_fit(
     report = FitReport(
         degree=config.degree,
         n_records=n,
-        coefficient_count=X.shape[1],
+        coefficient_count=len(beta),
         train_r2=tuple(train_scores),
         test_r2=tuple(test_scores),
         best_split=best,

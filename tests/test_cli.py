@@ -315,10 +315,13 @@ class TestSample:
         ("", 2),  # no pools
         ("5,5,5", 2),  # three pools for a two-weight mixture
         ("99999999999999999999,5", 2),  # a pool numpy cannot index
+        ("9223372036854775807,5", 2),  # pools whose total numpy cannot index
+        ("4611686018427387904,4611686018427387904 --max-steps 2", 2),  # the same, with a short uniform row
     ])
     def test_bad_pools(self, capsys, mixture_file, pools, exit_code):
+        pools, *extra = pools.split(" ")
         code, out, err = run_cli(capsys, "sample", "--weights", str(mixture_file),
-                                 "--pools", pools, "--seed", "0")
+                                 "--pools", pools, "--seed", "0", *extra)
         assert code == exit_code
         assert out == ""
         assert ("usage error:" if exit_code == 1 else "error:") in err

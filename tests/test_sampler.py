@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mixlab.errors import DimensionMismatch
+from mixlab.errors import DegenerateCatalog, DimensionMismatch
 from mixlab.mixtures import MixtureWeights, seed_all
-from mixlab.sampler import draw_domains, init, next_sample
+from mixlab.sampler import MAX_POOL_TOTAL, draw_domains, init, next_sample
 from tests.sampler_reference import Exhausted, bulk, empirical_frequencies, stream
 
 
@@ -22,6 +22,11 @@ class TestInit:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             init((3, 3, 3), MixtureWeights((0.5, 0.5)), seed=0)
+
+    def test_total_past_the_bound(self):
+        # each pool is indexable, the total is not: rejected before any pool is permuted
+        with pytest.raises(DegenerateCatalog, match=f"total at most {MAX_POOL_TOTAL}, got {MAX_POOL_TOTAL + 1}"):
+            init((MAX_POOL_TOTAL, 1), MixtureWeights((0.5, 0.5)), seed=0)
 
 
 class TestNextSample:

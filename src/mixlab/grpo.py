@@ -30,10 +30,17 @@ trainer batches steps by that dependency
 of its run on its skill, all on distinct rows.  A phase takes as many levels
 as the most steps one run spends on one skill, not as many as a run takes
 steps, and :func:`grpo_step` updates a block of one level's rows at once.
-Every array operation works row by row and rounds exactly as the per-run
-scalar reference in ``tests/grpo_reference.py`` does, so no row's result
-depends on which rows share its block and the tests require a per-run loop
-of that reference to give the same logits bit for bit.  The batched step
+It takes the block column-major: logits ``(A, n)``, uniforms ``(G, n)`` and
+one-hot actions ``(G, A, n)`` for ``n`` rows, so every sum over the actions
+or the group is a few vector ops along the leading axis, each as long as
+the block, rather than ``n`` reductions a few values long.  Every array
+operation works column by column and rounds exactly as the per-run scalar
+reference in ``tests/grpo_reference.py`` does: a sum over the gradient's
+samples adds them in order, as the reference's loop does, and every other
+sum (:func:`_sum_columns`) in the pairwise order of the reference's 1-D
+``sum``.  So no row's result depends on which rows share its block, and the
+tests require a per-run loop of that reference to give the same logits bit
+for bit.  The batched step
 leaves out only operations whose results are exact: a step's first inner
 epoch evaluates at the snapshot, where every ratio is exactly 1 and no
 sample is clipped, so it skips the ratio path, and later epochs reuse the
@@ -202,86 +209,118 @@ def _task_streams(
     return lengths, skills, world.answer_map[skills], action_uniforms, key_of_run
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Softmax of each row, shifted by the row's maximum."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+def _sum_columns(x: np.ndarray) -> np.ndarray:
+    """The sum of each column of ``x`` ``(L, n)``, rounded as numpy sums ``L`` contiguous values.
+
+    numpy adds a contiguous run from 0.0, pairwise: under 8 values in order;
+    up to 128 in 8 strided accumulators, combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the tail in order; above
+    that, each half (split at a multiple of 8) by the same rule.  Here every
+    step is a vector op over the ``n`` columns.  An in-order run of additions
+    is a sum over the leading axis, which numpy adds one row at a time from
+    0.0 when that axis is outermost in memory, as it is in a C-contiguous
+    ``x``; with under 8 rows, numpy's order is that one in any layout.
+    """
+    size = len(x)
+    if size < 8:
+        return x.sum(axis=0)
+    if size > 128:
+        half = size // 2 - size // 2 % 8
+        return _sum_columns(x[:half]) + _sum_columns(x[half:])
+    stop = size - size % 8
+    lanes = x[:stop].reshape(stop // 8, 8, x.shape[1]).sum(axis=0)  # lane j: x[j] + x[j + 8] + ... in order
+    pairs = lanes[0::2] + lanes[1::2]
+    total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    for row in x[stop:]:
+        total += row
+    return total
 
 
-def _advantage_rows(rewards: np.ndarray) -> np.ndarray:
-    """Group-normalized rewards of each row: ``(r - mean) / std``, zeros at zero spread.
+def _softmax_columns(logits: np.ndarray) -> np.ndarray:
+    """Softmax of each column, shifted by the column's maximum."""
+    exp = np.exp(logits - logits.max(axis=0))
+    exp /= _sum_columns(exp)
+    return exp
+
+
+def _advantage_columns(rewards: np.ndarray) -> np.ndarray:
+    """Group-normalized rewards of each column: ``(r - mean) / std``, zeros at zero spread.
 
     Centred twice, so the first mean's rounding error does not survive a small
     spread as a nonzero advantage mean.  ``sum / n`` is how ``mean`` computes.
     """
-    n = rewards.shape[1]
-    centered = rewards - rewards.sum(axis=1, keepdims=True) / n
-    centered -= centered.sum(axis=1, keepdims=True) / n
-    std = np.sqrt((centered ** 2).sum(axis=1, keepdims=True) / n)
-    flat = (rewards.max(axis=1, keepdims=True) == rewards.min(axis=1, keepdims=True)) | (std == 0.0)
+    n = len(rewards)
+    centered = rewards - _sum_columns(rewards) / n
+    centered -= _sum_columns(centered) / n
+    std = np.sqrt(_sum_columns(centered ** 2) / n)
+    flat = (rewards.max(axis=0) == rewards.min(axis=0)) | (std == 0.0)
     return np.where(flat, 0.0, centered / np.where(flat, 1.0, std))
 
 
-def _kl_rows(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's ``log(p / q)`` and exact ``KL(p || q)`` ``(n, 1)`` over the actions."""
+def _kl_columns(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's ``log(p / q)`` and exact ``KL(p || q)`` ``(n,)`` over the actions."""
     log_ratio = np.log(p / q)
-    return log_ratio, (p * log_ratio).sum(axis=1, keepdims=True)
+    return log_ratio, _sum_columns(p * log_ratio)
 
 
-def _gradient_rows(p: np.ndarray, onehot: np.ndarray, weights: np.ndarray, q: np.ndarray,
-                   config: GrpoConfig) -> np.ndarray:
-    """Gradient of each row's objective w.r.t. its logits, from each sample's surrogate weight.
+def _gradient_columns(p: np.ndarray, onehot: np.ndarray, weights: np.ndarray, q: np.ndarray,
+                      config: GrpoConfig) -> np.ndarray:
+    """Gradient of each column's objective w.r.t. its logits, from each sample's surrogate weight.
 
     A sample's weight is ``advantage * ratio`` where the unclipped term attains
     the min (d ratio / d theta = ratio * (onehot - p)) and 0 elsewhere.  The
-    exact KL (:func:`_kl_rows`) has d KL / d theta = p * (log(p / q) - KL).
-    Group samples add up in order: numpy reduces a non-last axis row by row.
+    exact KL (:func:`_kl_columns`) has d KL / d theta = p * (log(p / q) - KL).
+    Group samples add up in order: numpy sums the leading axis of a
+    C-contiguous ``(G, A, n)`` array one ``(A, n)`` slab at a time.
     """
-    terms = onehot - p[:, None, :]
-    terms *= weights[:, :, None]  # in place: a block's (rows, G, A) temporaries set its peak memory
-    grad = terms.sum(axis=1) / weights.shape[1]
+    terms = onehot - p
+    terms *= weights[:, None, :]  # in place: a block's (G, A, n) temporaries set its peak memory
+    grad = terms.sum(axis=0) / len(weights)
+    del terms  # so the KL term's temporaries do not add to the peak
     if config.kl_coeff > 0.0:
-        log_ratio, kl = _kl_rows(p, q)
+        log_ratio, kl = _kl_columns(p, q)
         grad -= config.kl_coeff * p * (log_ratio - kl)
     return grad
 
 
 def grpo_step(old: np.ndarray, uniforms: np.ndarray, golds: np.ndarray, lr: np.ndarray,
               ref: np.ndarray, config: GrpoConfig) -> np.ndarray:
-    """One GRPO update of independent logit rows ``old`` ``(n, A)``: the new rows.
+    """One GRPO update of independent logit columns ``old`` ``(A, n)``: the new columns.
 
-    Row ``i`` draws a group of actions from its softmax with ``uniforms[i]``
-    ``(G,)``, rewards those equal to ``golds[i]``, normalizes the rewards in
-    the group and ascends the objective ``config.inner_epochs`` times at rate
-    ``lr[i]``, with the KL penalty against the distribution ``ref`` ``(1, A)``.
+    Column ``i`` draws a group of actions from its softmax with ``uniforms[:, i]``
+    (``uniforms`` is ``(G, n)``), rewards those equal to ``golds[i]``,
+    normalizes the rewards in the group and ascends the objective
+    ``config.inner_epochs`` times at rate ``lr[i]``, with the KL penalty
+    against the distribution ``ref`` ``(A, 1)``.  The inputs may have any
+    layout; the new columns come out C-contiguous.
     """
-    p_old = _softmax_rows(old)
+    # C order keeps G the outer axis of the (G, A, n) temporaries, so their G sums stay in order
+    old, uniforms = np.ascontiguousarray(old), np.ascontiguousarray(uniforms)
+    p_old = _softmax_columns(old)
     # rng.choice(A, p=p_old): the count of normalized-CDF entries at or below u
-    cdf = p_old.cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    actions = (cdf[:, None, :] <= uniforms[:, :, None]).sum(axis=2)
-    rewards = np.where(actions == golds[:, None], _HIT_REWARD, _MISS_REWARD)
-    advantages = _advantage_rows(rewards)
-    lr = lr[:, None]
+    cdf = p_old.cumsum(axis=0)
+    cdf /= cdf[-1]
+    actions = (cdf <= uniforms[:, None, :]).sum(axis=1)
+    rewards = np.where(actions == golds, _HIT_REWARD, _MISS_REWARD)
+    advantages = _advantage_columns(rewards)
     # the snapshot epoch evaluates at p_old: every ratio is exactly 1, so no
     # sample is clipped and each weight is its advantage
-    onehot = (actions[:, :, None] == np.arange(old.shape[1])).astype(float)
-    new = old + lr * _gradient_rows(p_old, onehot, advantages, ref, config)
+    onehot = (actions[:, None, :] == np.arange(len(old))[:, None]).astype(float)
+    new = old + lr * _gradient_columns(p_old, onehot, advantages, ref, config)
     if config.inner_epochs > 1:
-        batch = np.arange(len(old))[:, None]
-        logp_old = np.log(p_old[batch, actions])
+        columns = np.arange(old.shape[1])
+        logp_old = np.log(p_old[actions, columns])
         for _ in range(1, config.inner_epochs):
-            p = _softmax_rows(new)
-            ratios = np.exp(np.log(p[batch, actions]) - logp_old)
+            p = _softmax_columns(new)
+            ratios = np.exp(np.log(p[actions, columns]) - logp_old)
             clipped = np.minimum(np.maximum(ratios, 1.0 - config.clip_epsilon), 1.0 + config.clip_epsilon)
             unclipped = ratios * advantages <= clipped * advantages
             weights = np.where(unclipped, advantages * ratios, 0.0)
-            new = new + lr * _gradient_rows(p, onehot, weights, ref, config)
+            new = new + lr * _gradient_columns(p, onehot, weights, ref, config)
     return new
 
 
-_BLOCK_ELEMENTS = 1 << 14  # (rows, G, A) elements per batch: larger batches run out of cache
+_BLOCK_ELEMENTS = 1 << 14  # (G, A, n) elements per batch: larger batches run out of cache
 
 
 def _level_schedule(skills: np.ndarray, lengths: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +355,10 @@ def train_policies(
     and a step reads and writes only its run's logit row for its task's
     skill.  So the steps run level by level (:func:`_level_schedule`), each
     level in blocks of at most ``_BLOCK_ELEMENTS`` group-by-action entries,
-    one :func:`grpo_step` call a block.
+    one :func:`grpo_step` call a block.  ``theta`` stays ``(R*k, A)`` and the
+    uniforms ``(keys, steps, G)``; a block's rows are gathered and handed
+    over transposed, as ``(A, n)`` logits and ``(G, n)`` uniforms, and its
+    new columns are written back as rows.
     """
     for run in runs:
         if run.mixture.m != world.m:
@@ -325,7 +367,7 @@ def train_policies(
     lengths, skills, golds, uniforms, key_of_run = _task_streams(world, runs, config)
 
     theta = np.zeros((len(runs) * world.k, world.A))
-    ref = _softmax_rows(np.zeros((1, world.A)))
+    ref = _softmax_columns(np.zeros((world.A, 1)))
     learning_rates = np.array([learning_rate_at(step, config) for step in range(steps)])
     taken, bounds = _level_schedule(skills, lengths, world.k)
     block = max(1, _BLOCK_ELEMENTS // (config.group_size * world.A))
@@ -333,8 +375,8 @@ def train_policies(
         for start in range(level_start, level_end, block):
             run, step = np.divmod(taken[start:min(start + block, level_end)], steps)
             row = run * world.k + skills[run, step]
-            theta[row] = grpo_step(theta[row], uniforms[key_of_run[run], step], golds[run, step],
-                                   learning_rates[step], ref, config)
+            theta[row] = grpo_step(theta[row].T, uniforms[key_of_run[run], step].T, golds[run, step],
+                                   learning_rates[step], ref, config).T
     return theta.reshape(len(runs), world.k, world.A), lengths
 
 

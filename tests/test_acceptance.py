@@ -142,12 +142,12 @@ def test_c4_surrogate_recovery_and_nested_models():
 
 
 def test_c5_grpo_numerics():
-    # the row functions the trainer runs; the objective they differentiate is the scalar reference's
+    # the column functions the trainer runs; the objective they differentiate is the scalar reference's
     rng = np.random.default_rng(7)
     for _ in range(50):
         size = int(rng.integers(2, 10))
         rewards = rng.choice([0.0, 1.0, 3.0], size=size)
-        adv = grpo._advantage_rows(rewards[None])[0]
+        adv = grpo._advantage_columns(rewards[:, None])[:, 0]
         assert abs(adv.mean()) <= 1e-9
         if rewards.max() > rewards.min():
             assert abs(math.sqrt(float((adv**2).mean())) - 1.0) <= 1e-9
@@ -163,14 +163,14 @@ def test_c5_grpo_numerics():
         if len(set(int(a) for a in actions)) == 1:
             actions[0] = (actions[0] + 1) % n_actions
         # an inner epoch's sample weights: advantage * ratio where the unclipped term attains the min
-        p, p_old, q = (grpo._softmax_rows(row[None]) for row in (theta, old, ref))
-        advantages = grpo._advantage_rows(np.array([[combined_reward(1, accuracy=int(a == gold)).total
-                                                     for a in actions]]))
-        ratios = np.exp(np.log(p[:, actions]) - np.log(p_old[:, actions]))
+        p, p_old, q = (grpo._softmax_columns(row[:, None]) for row in (theta, old, ref))
+        advantages = grpo._advantage_columns(np.array([[combined_reward(1, accuracy=int(a == gold)).total
+                                                        for a in actions]]).T)
+        ratios = np.exp(np.log(p[actions]) - np.log(p_old[actions]))
         clipped = np.clip(ratios, 1 - config.clip_epsilon, 1 + config.clip_epsilon)
         weights = np.where(ratios * advantages <= clipped * advantages, advantages * ratios, 0.0)
-        onehot = (actions[None, :, None] == np.arange(n_actions)).astype(float)
-        analytic = grpo._gradient_rows(p, onehot, weights, q, config)[0]
+        onehot = (actions[:, None, None] == np.arange(n_actions)[:, None]).astype(float)
+        analytic = grpo._gradient_columns(p, onehot, weights, q, config)[:, 0]
         numeric = np.zeros(n_actions)
         for b in range(n_actions):
             plus, minus = theta.copy(), theta.copy()
@@ -184,10 +184,10 @@ def test_c5_grpo_numerics():
     assert worst <= 1e-4
 
     for _ in range(100):
-        p = rng.dirichlet(np.ones(4))[None]
-        q = rng.dirichlet(np.ones(4))[None]
-        assert grpo._kl_rows(p, q)[1][0, 0] >= 0.0
-        assert grpo._kl_rows(p, p)[1][0, 0] <= 1e-12
+        p = rng.dirichlet(np.ones(4))[:, None]
+        q = rng.dirichlet(np.ones(4))[:, None]
+        assert grpo._kl_columns(p, q)[1][0] >= 0.0
+        assert grpo._kl_columns(p, p)[1][0] <= 1e-12
     report(f"PASS criterion 5: advantages exact, gradient rel err {worst:.2e} <= 1e-4, KL sound")
 
 

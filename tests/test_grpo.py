@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mixlab.errors import DimensionMismatch
 from mixlab import grpo
@@ -517,7 +518,7 @@ class TestLevelSchedule:
         original_step = grpo.grpo_step
 
         def counting_step(old, *args):
-            block_rows.append(len(old))
+            block_rows.append(old.shape[1])  # a block's rows are the columns of its (A, n) logits
             return original_step(old, *args)
 
         monkeypatch.setattr(grpo, "grpo_step", counting_step)  # the binding perfbench's tracer wraps
@@ -549,6 +550,77 @@ class TestLevelSchedule:
             ref_theta, ref_steps = reference_run(world, run.mixture, config, run.seed)
             assert steps[r] == ref_steps == 40
             assert np.array_equal(theta[r], ref_theta)
+
+
+def mixed_magnitudes(length, columns, seed):
+    """``(length, columns)`` values of both signs spread over 17 decades."""
+    rng = np.random.default_rng(seed)
+    shape = (length, columns)
+    return rng.choice([-1.0, 1.0], shape) * rng.uniform(1.0, 2.0, shape) * 10.0 ** rng.integers(-8, 9, shape)
+
+
+def assert_numpy_sum_order(x):
+    """``grpo._sum_columns(x)`` has the bits of numpy's sums of each column as a contiguous run."""
+    got = grpo._sum_columns(x)
+    last_axis = np.ascontiguousarray(x.T).sum(axis=1)
+    one_d = np.array([column.sum() for column in np.ascontiguousarray(x.T)])
+    assert got.tobytes() == last_axis.tobytes() == one_d.tobytes(), (
+        f"grpo._sum_columns does not round as numpy {np.__version__} sums {len(x)} contiguous float64 values; "
+        "the trainer's bit-identity with tests/grpo_reference.py rests on that order")
+
+
+ORDER_BOUNDARIES = (7, 8, 9, 15, 16, 127, 128, 129, 257)  # where numpy's pairwise order changes
+
+
+class TestColumnLayout:
+    """What the column-major blocks of grpo_step rest on."""
+
+    @pytest.mark.parametrize("length", ORDER_BOUNDARIES)
+    def test_sum_columns_at_order_boundaries(self, length):
+        for seed in range(10):
+            assert_numpy_sum_order(mixed_magnitudes(length, 7, seed))
+
+    @pytest.mark.parametrize("length", ORDER_BOUNDARIES)
+    def test_sum_columns_of_negative_zeros(self, length):
+        # numpy's sum starts from 0.0, so a column of -0.0 sums to +0.0
+        assert_numpy_sum_order(np.full((length, 2), -0.0))
+
+    @given(st.integers(1, 300), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_sum_columns_mixed_magnitudes(self, length, columns, seed):
+        assert_numpy_sum_order(mixed_magnitudes(length, columns, seed))
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 300), st.integers(1, 3)),
+                      elements=st.floats(-1e100, 1e100, allow_nan=False)))
+    @settings(max_examples=200, deadline=None)
+    def test_sum_columns_any_values(self, x):
+        assert_numpy_sum_order(x)
+
+    def test_step_bits_do_not_depend_on_input_layout(self):
+        # F-ordered inputs would make G the innermost axis of the (G, A, n)
+        # temporaries, and numpy would sum G pairwise instead of in order
+        G, A, n = 16, 16, 40
+        config = GrpoConfig(group_size=G, steps=50, inner_epochs=2, clip_epsilon=0.05, peak_learning_rate=0.5)
+        rng = np.random.default_rng(3)
+        old, uniforms = rng.normal(0.0, 1.0, (A, n)), rng.random((G, n))
+        golds, lr = rng.integers(0, A, n), rng.uniform(0.1, 0.5, n)
+        ref = grpo._softmax_columns(np.zeros((A, 1)))
+
+        def strided(x):
+            padded = np.zeros((2 * x.shape[0], 3 * x.shape[1]))
+            padded[::2, ::3] = x
+            return padded[::2, ::3]
+
+        def reversed_view(x):
+            return x[::-1, ::-1].copy()[::-1, ::-1]
+
+        expected = grpo.grpo_step(old, uniforms, golds, lr, ref, config)
+        for layout in (np.asfortranarray, strided, reversed_view):
+            got = grpo.grpo_step(layout(old), layout(uniforms), golds, lr, ref, config)
+            assert got.tobytes() == expected.tobytes(), f"{layout.__name__} inputs change the bits"
+        columns = [grpo.grpo_step(old[:, [i]], uniforms[:, [i]], golds[[i]], lr[[i]], ref, config)
+                   for i in range(n)]
+        assert np.hstack(columns).tobytes() == expected.tobytes()  # no column depends on its block
 
 
 def per_run_streams(world, run, config):

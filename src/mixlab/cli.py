@@ -33,7 +33,7 @@ from .records import (
     summarize,
 )
 from .search import ProposalConfig, propose
-from .surrogate import FitConfig, cross_validated_fit
+from .surrogate import FitConfig, cross_validated_fit, fitting_rows
 from .world import make_world, world_spec_from_dict
 
 ENV_SEED = "MIXLAB_SEED"
@@ -267,7 +267,8 @@ def _cmd_fit(args) -> int:
     seed = _resolved_seed(args.seed)
     fit_config = _config(FitConfig, args, seed=seed)
     suite = _load_suite(args.suite)
-    model, report = cross_validated_fit(stream_records(args.records, suite), fit_config, suite=suite)
+    W, y = fitting_rows(stream_records(args.records, suite), fit_config.target, suite=suite)
+    model, report = cross_validated_fit(W, y, fit_config)
     print(json.dumps({"model": model.to_dict(), "report": report.to_dict()}))
     if args.out:
         model.save(args.out)

@@ -57,13 +57,6 @@ class MixtureWeights:
         return tuple(i + 1 for i in self.support())
 
 
-def weight_rows(mixtures: Sequence[MixtureWeights] | np.ndarray) -> np.ndarray:
-    """One row of weights per mixture, as an ``(n, m)`` float array; an array is its own rows."""
-    if isinstance(mixtures, np.ndarray):
-        return mixtures
-    return np.array([mx.weights for mx in mixtures], dtype=float)
-
-
 def validate(raw: Sequence[float] | Iterable[float]) -> MixtureWeights:
     """Check the simplex invariants and wrap the vector; never renormalizes.
 

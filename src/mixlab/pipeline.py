@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import check_types, from_dict
-from .errors import DimensionMismatch, EmptyGroup, MissingBenchmark
+from .errors import EmptyGroup, MissingBenchmark
 from .grpo import GrpoConfig, RunSpec, train_runs
 from .grpo import train_with_mixture  # noqa: F401  (unused; perfbench/tracing.py patches this binding)
 from .mixtures import MixtureWeights, format_mixture, seed_all, seed_exclude_one, seed_single
@@ -67,7 +67,6 @@ class PipelineConfig:
     proposal: ProposalConfig = field(default_factory=ProposalConfig)
     verify_seeds: int = 3
     base_seed: int = 42
-    records_path: str | None = None  # reuse pilot records instead of training them
 
     def __post_init__(self):
         check_types(self)
@@ -222,19 +221,7 @@ def run_full(config: PipelineConfig, refine_rounds: int = 0) -> PipelineReport:
         raise ValueError(f"refine_rounds must be >= 0, got {refine_rounds}")
     world = make_world(config.world_spec, config.world_seed)
     _check_scored(config.fit.target, world.benchmarks)
-    if config.records_path is not None:
-        from .records import read_records
-
-        fitting_records = read_records(config.records_path, suite=world.benchmarks)
-        for record in fitting_records:
-            if record.weights is not None and record.weights.m != world.m:
-                raise DimensionMismatch(
-                    f"record {record.id!r} in {config.records_path} has {record.weights.m} "
-                    f"weights for a world with {world.m} domains"
-                )
-    else:
-        fitting_records = run_seed_phase(config, world=world)
-    return _refine_and_verify(config, world, fitting_records, 0, refine_rounds)
+    return _refine_and_verify(config, world, run_seed_phase(config, world=world), 0, refine_rounds)
 
 
 def _check_scored(target: str, suite: Sequence[BenchmarkSpec]) -> None:

@@ -22,11 +22,11 @@ time, so the fault raised is the first.
 :func:`stream_records` yields each record as its line is read, and
 :func:`read_records` is the list of them.  ``mixlab aggregate``, ``fit`` and
 ``propose`` stream: :func:`summarize` and ``surrogate.fitting_rows`` keep only
-the columns they use, never the whole record list.  A fault in the records'
-meaning (a missing group member, a mixture of another length) is held until
-the stream has ended and raised then, so a parse fault on any line, earlier
-or later, still wins.  ``mixlab heuristic`` and a pipeline that reads a
-records file read the whole list.
+the columns they use, never the whole record list; ``fit`` and ``propose``
+read them once, in ``fitting_rows``.  A fault in the records' meaning (a
+missing group member, a mixture of another length) is held until the stream
+has ended and raised then, so a parse fault on any line, earlier or later,
+still wins.  ``mixlab heuristic`` reads the whole list.
 """
 
 from __future__ import annotations

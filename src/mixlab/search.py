@@ -1,11 +1,12 @@
 """Model-guided mixture proposal: sample near observed mixtures, rank by surrogate.
 
-The candidate generator fits a single Gaussian to the observed mixture
-vectors, draws raw samples, rejects any with a negative entry, and rescales
-the survivors onto the simplex.  Because simplex-constrained points have a
-singular sample covariance (entries sum to a constant), a small diagonal
-jitter is added before the Cholesky factorization; without it no factor
-exists.
+:func:`propose` reads its records once (``surrogate.fitting_rows``) and fits
+the surrogate and the candidate generator's Gaussian to the same mixtures
+``W``.  The generator draws raw samples, rejects any with a negative entry,
+and rescales the survivors onto the simplex.  Because simplex-constrained
+points have a singular sample covariance (entries sum to a constant), a small
+diagonal jitter is added before the Cholesky factorization; without it no
+factor exists.
 
 Sampling is reproducible across platforms: raw draws are
 ``mean + Z @ L.T`` where ``L`` is the lower Cholesky factor and ``Z`` holds
@@ -23,17 +24,16 @@ one-draw sampler the tests compare against.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import check_types
 from .errors import EmptyCandidates, MixLabError, NoSurvivors, TooFewPoints
-from .mixtures import MixtureWeights, weight_rows
+from .mixtures import MixtureWeights
 from .records import BenchmarkSpec, PerformanceRecord
-from .surrogate import FitConfig, FitReport, SurrogateModel, cross_validated_fit, predict_many
+from .surrogate import FitConfig, FitReport, SurrogateModel, cross_validated_fit, fitting_rows, predict_many
 
 DEFAULT_JITTER = 1e-4
 _BLOCK_ROWS = 8192  # raw draws per block: the draw's memory follows the block, not n
@@ -69,11 +69,10 @@ class ProposalResult:
     report: FitReport
 
 
-def fit_gaussian(mixtures: Sequence[MixtureWeights] | np.ndarray, jitter: float = DEFAULT_JITTER) -> GaussianModel:
-    """Component-wise mean and maximum-likelihood covariance plus jitter * I."""
-    if len(mixtures) < 2:
-        raise TooFewPoints(f"need at least 2 mixtures, got {len(mixtures)}")
-    W = weight_rows(mixtures)
+def fit_gaussian(W: np.ndarray, jitter: float = DEFAULT_JITTER) -> GaussianModel:
+    """Component-wise mean and maximum-likelihood covariance plus jitter * I of the mixtures ``W``."""
+    if len(W) < 2:
+        raise TooFewPoints(f"need at least 2 mixtures, got {len(W)}")
     mean = W.mean(axis=0)
     centered = W - mean
     cov = centered.T @ centered / W.shape[0]
@@ -151,12 +150,12 @@ def propose(
 
     Only records with explicit weight vectors participate; the untrained
     baseline row (no mixture) is excluded from both the surrogate fit and the
-    Gaussian fit.  ``records`` is read once, so it may be a stream: the
-    Gaussian's mixtures are taken as the fit reads them.
+    Gaussian fit.  ``records`` is read once, by ``fitting_rows``, so it may be
+    a stream: the fit and the Gaussian share its mixtures ``W``.
     """
-    observed = array("d")  # each weighted record's weights, one after another
-    model, report = cross_validated_fit(_weights_into(records, observed), fit_config, suite=suite)
-    gaussian = fit_gaussian(np.frombuffer(observed).reshape(-1, model.m), jitter=proposal_config.jitter)
+    W, y = fitting_rows(records, fit_config.target, suite=suite)
+    model, report = cross_validated_fit(W, y, fit_config)
+    gaussian = fit_gaussian(W, jitter=proposal_config.jitter)
     if proposal_config.k == 0:
         return ProposalResult(candidates=[], model=model, report=report)
     rng = np.random.default_rng(proposal_config.seed)
@@ -169,11 +168,3 @@ def propose(
         )
     ranked = rank_candidates(model, candidates, k)
     return ProposalResult(candidates=ranked, model=model, report=report)
-
-
-def _weights_into(records: Iterable[PerformanceRecord], observed: array) -> Iterator[PerformanceRecord]:
-    """``records`` as they come, each one's weights, when it has them, appended to ``observed`` on the way."""
-    for record in records:
-        if record.weights is not None:
-            observed.extend(record.weights.weights)
-        yield record

@@ -8,6 +8,9 @@ on the simplex the intercept equals ``sum_i w_i`` and each ``w_i^2`` equals
 columns that are always collinear with these m(m+1)/2.  A fitted model
 therefore has ``b = 0`` and a zero diagonal in C; any b / a / C model still
 loads and predicts.
+
+:func:`fitting_rows` is the one place where records become fit rows, the
+``(n, m)`` mixtures ``W`` and their target scores ``y``; the rest take arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .config import check_types
 from .errors import DimensionMismatch, InsufficientRecords, MixLabError, ZeroVariance
-from .mixtures import MixtureWeights, weight_rows
+from .mixtures import MixtureWeights
 from .records import BenchmarkSpec, PerformanceRecord, group_scorer, raise_first
 from .records import weighted_aggregate  # noqa: F401  (unused; perfbench/tracing.py patches this binding)
 
@@ -33,13 +36,12 @@ def quadratic_pairs(m: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(m) for j in range(i, m)]
 
 
-def design_matrix(mixtures: Sequence[MixtureWeights] | np.ndarray, degree: int) -> np.ndarray:
-    """Scheffe rows [w_1..w_m] for degree 1, plus all w_i*w_j (i < j) for degree 2."""
+def design_matrix(W: np.ndarray, degree: int) -> np.ndarray:
+    """Scheffe rows [w_1..w_m] of the mixtures ``W`` for degree 1, plus all w_i*w_j (i < j) for degree 2."""
     if degree not in (1, 2):
         raise ValueError(f"degree must be 1 or 2, got {degree}")
-    if len(mixtures) == 0:
+    if len(W) == 0:
         raise ValueError("need at least one mixture")
-    W = weight_rows(mixtures)
     if degree == 1:
         return W
     m = W.shape[1]
@@ -263,20 +265,18 @@ def _fit_split(
 
 
 def cross_validated_fit(
-    records: Sequence[PerformanceRecord],
-    config: FitConfig = FitConfig(),
-    *,
-    suite: Sequence[BenchmarkSpec],
+    W: np.ndarray, y: np.ndarray, config: FitConfig = FitConfig(),
 ) -> tuple[SurrogateModel, FitReport]:
-    """Fit on random train/test splits and keep the split with best test R^2.
+    """Fit the rows ``(W, y)`` of :func:`fitting_rows` on random train/test splits; keep the best test R^2.
 
-    Each split shuffles record indices with the seeded generator (PCG64) and
+    Each split shuffles row indices with the seeded generator (PCG64) and
     takes ceil((1 - test_fraction) * n) train rows.  The returned model is the
     one fitted on the winning split's train rows, not a refit on all rows.
     Splits whose drawn rows have constant scores carry R^2 = NaN and are
     skipped when choosing the winner.
     """
-    W, y = fitting_rows(records, target=config.target, suite=suite)
+    if W.ndim != 2 or len(W) != len(y):
+        raise DimensionMismatch(f"mixtures of shape {W.shape} vs {len(y)} scores")
     n, m = W.shape
     if n < 5:
         raise InsufficientRecords(f"need at least 5 weighted records, got {n}")

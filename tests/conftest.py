@@ -4,6 +4,7 @@ import pytest
 
 from mixlab.mixtures import MixtureWeights, format_mixture
 from mixlab.records import BenchmarkSpec, PerformanceRecord
+from mixlab.surrogate import cross_validated_fit, fitting_rows
 
 
 @pytest.fixture
@@ -33,3 +34,9 @@ def make_record(rid, labels, m, in_score, out_score, step=None):
 def write_mixture_file(mixture, path):
     """A mixture file holding ``mixture`` on one line, as ``mixlab`` reads it."""
     path.write_text(format_mixture(mixture) + "\n")
+
+
+def fit_records(records, config, *, suite):
+    """``cross_validated_fit`` on the fit rows of ``records`` for ``config.target``."""
+    W, y = fitting_rows(records, config.target, suite=suite)
+    return cross_validated_fit(W, y, config)

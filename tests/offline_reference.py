@@ -4,10 +4,11 @@ These are the package's ``records.weighted_aggregate``/``summarize``,
 ``surrogate.fitting_rows`` and ``search.propose`` as they were before
 ``mixlab aggregate``, ``fit`` and ``propose`` streamed their records file:
 each takes the whole record list, scores one group over the whole batch at a
-time, and raises a fault as soon as it meets one.  :func:`patched` runs the
-CLI on them, with ``stream_records`` reading the whole list first, so a
-differential test can hold the commands' stdout, stderr and exit code to the
-list-based path.
+time, and raises a fault as soon as it meets one.  ``fitting_rows`` returns,
+and ``propose`` passes on, the arrays the package's fit and Gaussian take.
+:func:`patched` runs the CLI on them, with ``stream_records`` reading the
+whole list first, so a differential test can hold the commands' stdout,
+stderr and exit code to the list-based path.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from unittest import mock
 import numpy as np
 
 from mixlab.errors import DimensionMismatch, EmptyGroup, MissingBenchmark, MixLabError
-from mixlab.mixtures import weight_rows
 from mixlab.records import BenchmarkSpec, PerformanceRecord, ScoreSummary, read_records
 from mixlab.search import ProposalConfig, ProposalResult, fit_gaussian, rank_candidates, sample_candidates
 from mixlab.surrogate import FitConfig, cross_validated_fit
@@ -64,13 +64,18 @@ def fitting_rows(records, target: str, *, suite):
         values = weighted_aggregate([record.scores for record in weighted], suite, target)
     else:
         values = [record.scores[target] for record in weighted]
-    return [record.weights for record in weighted], np.asarray(values, dtype=float)
+    return _rows([record.weights for record in weighted]), np.asarray(values, dtype=float)
+
+
+def _rows(mixtures):
+    """The mixtures as one ``(n, m)`` float array."""
+    return np.array([mx.weights for mx in mixtures], dtype=float).reshape(len(mixtures), -1 if mixtures else 0)
 
 
 def propose(records, fit_config=FitConfig(), proposal_config=ProposalConfig(), *, suite):
-    model, report = cross_validated_fit(records, fit_config, suite=suite)
+    model, report = cross_validated_fit(*fitting_rows(records, fit_config.target, suite=suite), fit_config)
     observed = [r.weights for r in records if r.weights is not None]
-    gaussian = fit_gaussian(observed, jitter=proposal_config.jitter)
+    gaussian = fit_gaussian(_rows(observed), jitter=proposal_config.jitter)
     if proposal_config.k == 0:
         return ProposalResult(candidates=[], model=model, report=report)
     rng = np.random.default_rng(proposal_config.seed)
@@ -84,14 +89,6 @@ def propose(records, fit_config=FitConfig(), proposal_config=ProposalConfig(), *
     return ProposalResult(candidates=rank_candidates(model, candidates, k), model=model, report=report)
 
 
-def _as_array(fitting_rows):
-    """``fitting_rows`` with its mixtures as the ``(n, m)`` array the package's fit takes."""
-    def rows(*args, **kwargs):
-        mixtures, y = fitting_rows(*args, **kwargs)
-        return weight_rows(mixtures).reshape(len(mixtures), mixtures[0].m if mixtures else 0), y
-    return rows
-
-
 @contextlib.contextmanager
 def patched():
     """``mixlab.cli`` reading whole record lists and scoring and fitting them as above."""
@@ -99,5 +96,5 @@ def patched():
         stack.enter_context(mock.patch("mixlab.cli.stream_records", read_records))
         stack.enter_context(mock.patch("mixlab.cli.summarize", summarize))
         stack.enter_context(mock.patch("mixlab.cli.propose", propose))
-        stack.enter_context(mock.patch("mixlab.surrogate.fitting_rows", _as_array(fitting_rows)))
+        stack.enter_context(mock.patch("mixlab.cli.fitting_rows", fitting_rows))
         yield

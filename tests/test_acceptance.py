@@ -29,9 +29,9 @@ from mixlab.records import (
 from mixlab.rewards import BoundingBox, combined_reward, extract_answer, iou
 from mixlab.sampler import init as sampler_init
 from mixlab.search import ProposalConfig
-from mixlab.surrogate import FitConfig, SurrogateModel, cross_validated_fit, predict
+from mixlab.surrogate import FitConfig, SurrogateModel, predict
 from mixlab.world import BenchmarkDef, WorldSpec
-from tests.conftest import make_record, write_mixture_file
+from tests.conftest import fit_records, make_record, write_mixture_file
 from tests.grpo_reference import group_from_rows, grpo_objective
 from tests.sampler_reference import empirical_frequencies, stream
 
@@ -121,16 +121,16 @@ def test_c4_surrogate_recovery_and_nested_models():
             scores={"bin": 0.5, "bout": y},
         ))
 
-    _, quad_report = cross_validated_fit(records, FitConfig(degree=2, seed=1), suite=TWO_BENCH)
+    _, quad_report = fit_records(records, FitConfig(degree=2, seed=1), suite=TWO_BENCH)
     assert all(r2 >= 0.999 for r2 in quad_report.test_r2)
 
-    _, linear_report = cross_validated_fit(records, FitConfig(degree=1, seed=1), suite=TWO_BENCH)
+    _, linear_report = fit_records(records, FitConfig(degree=1, seed=1), suite=TWO_BENCH)
     for lo, hi in zip(linear_report.train_r2, quad_report.train_r2):
         assert lo < hi
 
     seed_rows = [r for r in table2_fixture() if r.weights is not None]
-    _, lin_t2 = cross_validated_fit(seed_rows, FitConfig(degree=1, seed=2), suite=bundled_suite())
-    _, quad_t2 = cross_validated_fit(seed_rows, FitConfig(degree=2, seed=2), suite=bundled_suite())
+    _, lin_t2 = fit_records(seed_rows, FitConfig(degree=1, seed=2), suite=bundled_suite())
+    _, quad_t2 = fit_records(seed_rows, FitConfig(degree=2, seed=2), suite=bundled_suite())
     for lo, hi in zip(lin_t2.train_r2, quad_t2.train_r2):
         if not (math.isnan(lo) or math.isnan(hi)):
             assert hi >= lo - 1e-12

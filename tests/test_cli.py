@@ -520,6 +520,8 @@ class TestPipelineCommand:
      {"train": {"reward_weights": {"accuracy": 2.0, "format": 1.0}}}, "reward_weights"),
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"seed_plan": {"singles": False}}, "singles"),
     (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"seed_plan": 2}, "seed_plan must be SeedPlan"),
+    # pilot records come from training the seed plan, not from a file
+    (["pipeline", "--config", "{config}", "--out-dir", "{out}"], {"records_path": "records.jsonl"}, "records_path"),
     # a non-finite proposal jitter, from a flag or a config file
     (["propose", "--records", "{records}", "--jitter", "inf"], {}, "jitter"),
     (["propose", "--records", "{records}", "--jitter", "nan"], {}, "jitter"),

@@ -127,7 +127,7 @@ LINES = 5_000
 
 @pytest.fixture(scope="module")
 def large_file(tmp_path_factory):
-    """A 20k-line records file over six domains and a four-benchmark suite."""
+    """A ``LINES``-line records file over six domains and a four-benchmark suite."""
     rng = random.Random(0)
     directory = tmp_path_factory.mktemp("large")
     records, suite = directory / "records.jsonl", directory / "suite.json"

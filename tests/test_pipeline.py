@@ -5,7 +5,7 @@ import statistics
 import numpy as np
 import pytest
 
-from mixlab.errors import DimensionMismatch, EmptyGroup, MissingBenchmark
+from mixlab.errors import EmptyGroup, MissingBenchmark
 from mixlab.grpo import GrpoConfig, run_streams
 from mixlab.mixtures import MixtureWeights, seed_all
 from mixlab.pipeline import (
@@ -19,10 +19,11 @@ from mixlab.pipeline import (
     run_seed_phase,
     write_report,
 )
-from mixlab.records import PerformanceRecord, read_records, serialize_record, write_records
+from mixlab.records import PerformanceRecord, read_records, serialize_record
 from mixlab.search import ProposalConfig
-from mixlab.surrogate import FitConfig, cross_validated_fit
+from mixlab.surrogate import FitConfig
 from mixlab.world import BenchmarkDef, WorldSpec, make_world
+from tests.conftest import fit_records
 
 
 def small_spec():
@@ -135,8 +136,8 @@ class TestRunFull:
 
         records = report.fitting_records
         suite = make_world(small_spec(), 3).benchmarks
-        _, linear = cross_validated_fit(records, FitConfig(degree=1, seed=4), suite=suite)
-        _, quad = cross_validated_fit(records, FitConfig(degree=2, seed=4), suite=suite)
+        _, linear = fit_records(records, FitConfig(degree=1, seed=4), suite=suite)
+        _, quad = fit_records(records, FitConfig(degree=2, seed=4), suite=suite)
         compared = 0
         for lo, hi in zip(linear.train_r2, quad.train_r2):
             if math.isnan(lo) or math.isnan(hi):
@@ -217,8 +218,8 @@ class TestRefine:
             rng = np.random.default_rng(seed)
             base = sample_records(10, rng)
             extra = sample_records(3, rng)
-            _, rep_before = cross_validated_fit(base, FitConfig(degree=2, seed=seed), suite=suite)
-            _, rep_after = cross_validated_fit(base + extra, FitConfig(degree=2, seed=seed), suite=suite)
+            _, rep_before = fit_records(base, FitConfig(degree=2, seed=seed), suite=suite)
+            _, rep_after = fit_records(base + extra, FitConfig(degree=2, seed=seed), suite=suite)
             before.append(float(np.nanmax(rep_before.test_r2)))
             after.append(float(np.nanmax(rep_after.test_r2)))
         assert statistics.median(after) >= statistics.median(before)
@@ -333,34 +334,6 @@ class TestPlanPhase:
     def test_unknown_phase(self):
         with pytest.raises(ValueError):
             plan_phase(small_config(), "pilot", [("", seed_all(3))])
-
-
-class TestRecordsPath:
-    def test_wrong_m_records_rejected_before_fitting(self, tmp_path, monkeypatch):
-        import mixlab.pipeline as pipeline
-
-        path = tmp_path / "records.jsonl"
-        suite_scores = {"in-0": 0.5, "in-1": 0.5, "out-all": 0.5}
-        records = [
-            PerformanceRecord(f"r{i}", (1, 2, 3, 4), MixtureWeights(w), dict(suite_scores))
-            for i, w in enumerate([(0.25,) * 4, (0.4, 0.2, 0.2, 0.2), (0.1, 0.2, 0.3, 0.4)])
-        ]
-        write_records(records, path)
-
-        def fail(*args, **kwargs):
-            raise AssertionError("fitting started on records of the wrong dimension")
-
-        monkeypatch.setattr(pipeline, "propose", fail)
-        with pytest.raises(DimensionMismatch, match="4 weights for a world with 3 domains"):
-            run_full(small_config(records_path=str(path)))
-
-    def test_matching_records_are_reused(self, tmp_path):
-        config = small_config()
-        path = tmp_path / "records.jsonl"
-        pilots = run_seed_phase(config)
-        write_records(pilots, path)
-        report = run_full(small_config(records_path=str(path)))
-        assert [r.id for r in report.fitting_records] == [r.id for r in pilots]
 
 
 class TestScoredGroupsCheckedBeforeTraining:

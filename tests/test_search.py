@@ -23,39 +23,39 @@ from tests import search_reference
 
 class TestFitGaussian:
     def test_two_opposed_vertices(self):
-        gm = fit_gaussian([MixtureWeights((1.0, 0.0)), MixtureWeights((0.0, 1.0))], jitter=0.0)
+        gm = fit_gaussian(np.array([[1.0, 0.0], [0.0, 1.0]]), jitter=0.0)
         assert gm.mean == pytest.approx([0.5, 0.5])
         assert gm.covariance == pytest.approx(np.array([[0.25, -0.25], [-0.25, 0.25]]))
 
     def test_identical_points_leave_jitter_only(self):
         point = MixtureWeights((0.3, 0.3, 0.4))
-        gm = fit_gaussian([point] * 5, jitter=1e-4)
+        gm = fit_gaussian(np.array([point.weights] * 5), jitter=1e-4)
         assert gm.mean == pytest.approx([0.3, 0.3, 0.4])
         assert gm.covariance == pytest.approx(1e-4 * np.eye(3))
 
     def test_mean_in_convex_hull(self):
         rng = np.random.default_rng(0)
         points = [MixtureWeights(tuple(v / v.sum())) for v in rng.uniform(0.01, 1, (12, 4))]
-        gm = fit_gaussian(points)
         W = np.array([p.to_array() for p in points])
+        gm = fit_gaussian(W)
         assert (gm.mean >= W.min(axis=0) - 1e-12).all()
         assert (gm.mean <= W.max(axis=0) + 1e-12).all()
 
     def test_covariance_symmetric(self):
         rng = np.random.default_rng(1)
         points = [MixtureWeights(tuple(v / v.sum())) for v in rng.uniform(0.01, 1, (9, 5))]
-        gm = fit_gaussian(points)
+        gm = fit_gaussian(np.array([p.weights for p in points]))
         assert np.abs(gm.covariance - gm.covariance.T).max() <= 1e-12
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
-            fit_gaussian([MixtureWeights((1.0,))])
+            fit_gaussian(np.array([[1.0]]))
 
 
 class TestSampleCandidates:
     def test_concentration_near_degenerate_point(self):
         point = MixtureWeights((0.3, 0.3, 0.4))
-        gm = fit_gaussian([point] * 3, jitter=1e-4)
+        gm = fit_gaussian(np.array([point.weights] * 3), jitter=1e-4)
         rng = np.random.default_rng(42)
         candidates = sample_candidates(gm, 1000, rng)
         assert candidates.shape[1] == 3
@@ -76,7 +76,7 @@ class TestSampleCandidates:
             sample_candidates(gm, 100, np.random.default_rng(0))
 
     def test_candidates_normalized(self):
-        gm = fit_gaussian([MixtureWeights((0.5, 0.5)), MixtureWeights((0.25, 0.75))], jitter=1e-3)
+        gm = fit_gaussian(np.array([[0.5, 0.5], [0.25, 0.75]]), jitter=1e-3)
         for row in sample_candidates(gm, 500, np.random.default_rng(7)):
             validate(row)
 
@@ -223,6 +223,19 @@ class TestPropose:
         assert [(c.weights, s) for c, s in a.candidates] == [(c.weights, s) for c, s in b.candidates]
         assert a.report == b.report
 
+    def test_a_stream_proposes_what_the_list_does(self):
+        # the whole fixture: its seed rows and the unweighted rows propose skips, read once
+        records = table2_fixture()
+        kwargs = dict(
+            fit_config=FitConfig(degree=1, seed=1),
+            proposal_config=ProposalConfig(n_samples=400, k=4, jitter=1e-4, seed=1),
+            suite=bundled_suite(),
+        )
+        streamed, listed = propose(iter(records), **kwargs), propose(records, **kwargs)
+        assert streamed.candidates == listed.candidates
+        assert streamed.model.to_dict() == listed.model.to_dict()
+        assert streamed.report.to_dict() == listed.report.to_dict()
+
     def test_vertex_optimum_found(self):
         # records generated from g(w) = w_1: the top candidate has the largest
         # first coordinate among all survivors
@@ -238,7 +251,7 @@ class TestPropose:
                 id=f"r{i}", datasets=w.dataset_labels(), weights=w,
                 scores={"obj": w.weights[0], "d": 0.5},
             ))
-        gaussian = fit_gaussian([r.weights for r in records], jitter=1e-4)
+        gaussian = fit_gaussian(np.array([r.weights.weights for r in records]), jitter=1e-4)
         candidates = sample_candidates(gaussian, 2000, np.random.default_rng(11))
         model = SurrogateModel(degree=1, intercept=0.0, linear=np.array([1.0, 0.0, 0.0]))
         (top, _), = rank_candidates(model, candidates, k=1)

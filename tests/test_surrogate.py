@@ -19,6 +19,7 @@ from mixlab.surrogate import (
     quadratic_pairs,
     r_squared,
 )
+from tests.conftest import fit_records
 
 OUT_SUITE = [BenchmarkSpec("obj", 1, "out"), BenchmarkSpec("dummy", 1, "in")]
 
@@ -54,24 +55,24 @@ def full_monomial_matrix(W: np.ndarray, degree: int) -> np.ndarray:
 
 class TestDesignMatrix:
     def test_degree_two_row(self):
-        X = design_matrix([MixtureWeights((0.3, 0.7))], degree=2)
+        X = design_matrix(np.array([[0.3, 0.7]]), degree=2)
         assert X[0] == pytest.approx([0.3, 0.7, 0.21])
 
     def test_interaction_order_is_lexicographic(self):
-        X = design_matrix([MixtureWeights((0.2, 0.3, 0.5))], degree=2)
+        X = design_matrix(np.array([[0.2, 0.3, 0.5]]), degree=2)
         assert X[0] == pytest.approx([0.2, 0.3, 0.5, 0.06, 0.1, 0.15])
 
     def test_vertex_row(self):
-        X = design_matrix([MixtureWeights((0.0, 1.0, 0.0))], degree=2)
+        X = design_matrix(np.array([[0.0, 1.0, 0.0]]), degree=2)
         assert X[0].tolist() == [0, 1, 0, 0, 0, 0]
 
     def test_degree_one_row(self):
-        X = design_matrix([MixtureWeights((0.5, 0.5))], degree=1)
+        X = design_matrix(np.array([[0.5, 0.5]]), degree=1)
         assert X[0] == pytest.approx([0.5, 0.5])
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_column_counts(self, m):
-        mixtures = [MixtureWeights((1.0 / m,) * m)]
+        mixtures = np.full((1, m), 1.0 / m)
         assert design_matrix(mixtures, 1).shape == (1, m)
         assert design_matrix(mixtures, 2).shape == (1, m * (m + 1) // 2)
 
@@ -136,7 +137,7 @@ class TestPredict:
         assert (model.quad == model.quad.T).all()
         assert np.diag(model.quad).tolist() == [0.0] * m
         mixtures = [normalize_to_simplex(rng.uniform(0.01, 1, m)) for _ in range(20)]
-        X = design_matrix(mixtures, 2)
+        X = design_matrix(np.array([w.weights for w in mixtures]), 2)
         direct = X @ beta
         via_model = np.array([predict(model, w) for w in mixtures])
         assert via_model == pytest.approx(direct, abs=1e-12)
@@ -175,7 +176,7 @@ class TestCrossValidatedFit:
     def test_recovers_linear(self):
         truth = SurrogateModel(degree=1, intercept=0.3, linear=np.array([0.2, 0.0, 0.1]))
         records = synthetic_records(truth, 24, seed=4)
-        model, report = cross_validated_fit(records, FitConfig(degree=1, seed=0), suite=OUT_SUITE)
+        model, report = fit_records(records, FitConfig(degree=1, seed=0), suite=OUT_SUITE)
         assert all(r2 >= 0.999 for r2 in report.test_r2)
         # the intercept is not identifiable on the simplex, so compare predictions
         held_out = np.vstack([np.eye(3), simplex_points(np.random.default_rng(40), 20, 3)])
@@ -185,40 +186,49 @@ class TestCrossValidatedFit:
         quad = np.array([[0.4, -0.2, 0.0], [-0.2, 0.3, 0.1], [0.0, 0.1, -0.2]])
         truth = SurrogateModel(degree=2, intercept=0.4, linear=np.array([0.1, -0.05, 0.0]), quad=quad)
         records = synthetic_records(truth, 40, seed=5)
-        model, report = cross_validated_fit(records, FitConfig(degree=2, seed=1), suite=OUT_SUITE)
+        model, report = fit_records(records, FitConfig(degree=2, seed=1), suite=OUT_SUITE)
         assert all(r2 >= 0.999 for r2 in report.test_r2)
 
     def test_determinism(self):
         truth = SurrogateModel(degree=1, intercept=0.4, linear=np.array([0.1, 0.05]))
         records = synthetic_records(truth, 12, seed=6)
-        _, first = cross_validated_fit(records, FitConfig(degree=2, seed=9), suite=OUT_SUITE)
-        _, second = cross_validated_fit(records, FitConfig(degree=2, seed=9), suite=OUT_SUITE)
+        _, first = fit_records(records, FitConfig(degree=2, seed=9), suite=OUT_SUITE)
+        _, second = fit_records(records, FitConfig(degree=2, seed=9), suite=OUT_SUITE)
         assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
 
     def test_best_split_maximizes_test_r2(self):
         truth = SurrogateModel(degree=1, intercept=0.4, linear=np.array([0.1, 0.05, -0.1]))
         records = synthetic_records(truth, 15, seed=7)
-        _, report = cross_validated_fit(records, FitConfig(degree=1, seed=2), suite=OUT_SUITE)
+        _, report = fit_records(records, FitConfig(degree=1, seed=2), suite=OUT_SUITE)
         assert report.test_r2[report.best_split] == max(report.test_r2)
 
     def test_nested_models_on_bundled_seed_rows(self):
         records = [r for r in table2_fixture() if r.weights is not None]
         assert len(records) == 11
-        _, lin = cross_validated_fit(records, FitConfig(degree=1, seed=3), suite=bundled_suite())
-        _, quad = cross_validated_fit(records, FitConfig(degree=2, seed=3), suite=bundled_suite())
+        _, lin = fit_records(records, FitConfig(degree=1, seed=3), suite=bundled_suite())
+        _, quad = fit_records(records, FitConfig(degree=2, seed=3), suite=bundled_suite())
         # identical seed gives identical splits, so train R^2 compares row-wise
         for lo, hi in zip(lin.train_r2, quad.train_r2):
             assert hi >= lo - 1e-12
+
+    @pytest.mark.parametrize("W, y", [
+        (np.full((6, 3), 1 / 3), np.linspace(0.1, 0.9, 5)),  # a score short
+        (np.full((5, 3), 1 / 3), np.linspace(0.1, 0.9, 6)),  # a mixture short
+        (np.full(6, 0.5), np.linspace(0.1, 0.9, 6)),  # not an (n, m) array
+    ])
+    def test_rows_must_pair_with_scores(self, W, y):
+        with pytest.raises(DimensionMismatch):
+            cross_validated_fit(W, y, FitConfig(degree=1))
 
     def test_insufficient_records(self):
         truth = SurrogateModel(degree=1, intercept=0.4, linear=np.array([0.1, 0.05]))
         records = synthetic_records(truth, 4, seed=8)
         with pytest.raises(InsufficientRecords):
-            cross_validated_fit(records, FitConfig(degree=1), suite=OUT_SUITE)
+            fit_records(records, FitConfig(degree=1), suite=OUT_SUITE)
         # a valid fraction that rounds to no test row among the records is a data error
         records = synthetic_records(truth, 5, seed=8)
         with pytest.raises(InsufficientRecords, match="no test rows"):
-            cross_validated_fit(records, FitConfig(degree=1, test_fraction=0.1), suite=OUT_SUITE)
+            fit_records(records, FitConfig(degree=1, test_fraction=0.1), suite=OUT_SUITE)
 
     @pytest.mark.parametrize("settings", [
         dict(degree=3), dict(n_splits=0), dict(test_fraction=0.0), dict(test_fraction=1.0),
@@ -233,13 +243,13 @@ class TestCrossValidatedFit:
         constant = SurrogateModel(degree=1, intercept=0.5, linear=np.zeros(2))
         records = synthetic_records(constant, 10, seed=12)
         with pytest.raises(ZeroVariance):
-            cross_validated_fit(records, FitConfig(degree=1), suite=OUT_SUITE)
+            fit_records(records, FitConfig(degree=1), suite=OUT_SUITE)
 
     @pytest.mark.parametrize("m, degree, count", [(4, 1, 4), (4, 2, 10), (5, 2, 15)])
     def test_coefficient_count_reported(self, m, degree, count):
         truth = SurrogateModel(degree=1, intercept=0.4, linear=np.linspace(0.1, 0.0, m))
         records = synthetic_records(truth, 20, seed=9)
-        _, report = cross_validated_fit(records, FitConfig(degree=degree, seed=0), suite=OUT_SUITE)
+        _, report = fit_records(records, FitConfig(degree=degree, seed=0), suite=OUT_SUITE)
         assert report.coefficient_count == count
 
 
@@ -249,8 +259,7 @@ class TestScheffeBasis:
     @staticmethod
     def max_gap(W: np.ndarray, y: np.ndarray, degree: int, rng: np.random.Generator) -> float:
         m = W.shape[1]
-        mixtures = [MixtureWeights(tuple(row)) for row in W]
-        model = model_from_coefficients(least_squares_fit(design_matrix(mixtures, degree), y), m, degree)
+        model = model_from_coefficients(least_squares_fit(design_matrix(W, degree), y), m, degree)
         reference, *_ = np.linalg.lstsq(full_monomial_matrix(W, degree), y, rcond=None)
         probe = np.vstack([np.eye(m), simplex_points(rng, 50, m)])
         return float(np.abs(predict_many(model, probe) - full_monomial_matrix(probe, degree) @ reference).max())
@@ -262,7 +271,7 @@ class TestScheffeBasis:
         columns = m if degree == 1 else m * (m + 1) // 2
         for _ in range(20):
             W = simplex_points(rng, columns + 5, m)
-            assert np.linalg.matrix_rank(design_matrix([MixtureWeights(tuple(r)) for r in W], degree)) == columns
+            assert np.linalg.matrix_rank(design_matrix(W, degree)) == columns
             assert self.max_gap(W, rng.normal(size=len(W)), degree, rng) <= 1e-9
 
     @pytest.mark.parametrize("degree", [1, 2])

@@ -503,7 +503,7 @@ class TestLevelSchedule:
     def test_levels_split_into_blocks_bit_equal(self, monkeypatch):
         world = tiny_world(pool=40)
         config = GrpoConfig(group_size=6, steps=50, inner_epochs=2)
-        monkeypatch.setattr(grpo, "_BLOCK_ELEMENTS", 3 * config.group_size * world.A)  # 3 rows a block
+        monkeypatch.setattr(grpo, "_block_columns", lambda group_size, actions: 3)  # 3 rows a block
         runs = [RunSpec(mix, 70 + i, f"run{i}") for i, mix in enumerate(RUN_MIXTURES)]
         level_sizes = []
         original = grpo._level_schedule
@@ -526,6 +526,34 @@ class TestLevelSchedule:
         assert sum(size > 3 for size in level_sizes) > 5  # levels that span several blocks
         # one call a block, through the module global; train_policies and train_runs each train once
         assert max(block_rows) == 3 and sum(block_rows) == 2 * steps.sum()
+
+    def test_wide_blocks_bit_equal(self, monkeypatch):
+        # ragged-refine's shape, G=16 and A=16, in blocks as narrow as one row and as wide
+        # as a whole level; the widest hold A * n logits above numpy's 8 192-element ufunc buffer
+        spec = WorldSpec(m=3, k=240, A=16, pool_sizes=(30, 80, 400), held_out_skills=10)
+        world = make_world(spec, seed=5)
+        config = GrpoConfig(group_size=16, steps=50, inner_epochs=2, clip_epsilon=0.05, peak_learning_rate=0.5)
+        mixtures = (MixtureWeights((0.2, 0.3, 0.5)), MixtureWeights((1 / 3, 1 / 3, 1 / 3)),
+                    MixtureWeights((0.0, 0.0, 1.0)), MixtureWeights((0.6, 0.4, 0.0)))
+        runs = [RunSpec(mixtures[i % 4], 90 + i, f"run{i}") for i in range(20)]
+        expected = [reference_run(world, run.mixture, config, run.seed) for run in runs]
+        original_step = grpo.grpo_step
+        for width in (1, 64, 256, len(runs) * world.k):
+            block_rows = []
+
+            def counting_step(old, *args):
+                block_rows.append(old.shape[1])
+                return original_step(old, *args)
+
+            monkeypatch.setattr(grpo, "grpo_step", counting_step)
+            monkeypatch.setattr(grpo, "_block_columns", lambda group_size, actions: width)
+            theta, steps = train_policies(world, runs, config)
+            for r, (ref_theta, ref_steps) in enumerate(expected):
+                assert steps[r] == ref_steps
+                assert theta[r].tobytes() == ref_theta.tobytes(), f"run {r} differs in blocks of {width}"
+            assert sum(block_rows) == steps.sum() and max(block_rows) == min(width, block_rows[0])
+        assert len(set(steps.tolist())) > 1  # ragged: some runs stop on an empty pool
+        assert block_rows[0] * world.A > 8192  # the whole first level in one block
 
     def test_zero_steps(self):
         theta, steps = train_policies(tiny_world(), [RunSpec(mix, i) for i, mix in enumerate(RUN_MIXTURES)],
@@ -550,6 +578,19 @@ class TestLevelSchedule:
             ref_theta, ref_steps = reference_run(world, run.mixture, config, run.seed)
             assert steps[r] == ref_steps == 40
             assert np.array_equal(theta[r], ref_theta)
+
+
+class TestBlockColumns:
+    def test_accept_train_blocks_are_unchanged(self):
+        assert grpo._block_columns(6, 4) == 682 == (1 << 14) // (6 * 4)
+
+    def test_wide_actions_get_at_least_256_columns(self):
+        assert grpo._block_columns(16, 16) >= 256
+
+    def test_large_shapes_stay_under_the_ceiling(self):
+        n = grpo._block_columns(64, 512)
+        assert n >= 1 and n * 64 * 512 <= grpo._MAX_BLOCK_ELEMENTS
+        assert grpo._block_columns(1024, 1024) == 1  # one column is over the ceiling: one row still
 
 
 def mixed_magnitudes(length, columns, seed):

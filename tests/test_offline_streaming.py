@@ -143,6 +143,14 @@ def large_file(tmp_path_factory):
     return records, suite
 
 
+@pytest.fixture(scope="module")
+def record_list_bytes(large_file):
+    """How many records ``read_records`` gives for ``large_file`` and the bytes the list holds."""
+    records, suite = large_file
+    loaded, _, list_bytes = traced(read_records, records, read_suite(suite))
+    return len(loaded), list_bytes
+
+
 def traced(fn, *args):
     """``fn(*args)`` and the bytes tracemalloc saw allocated at its peak and still held after it."""
     tracemalloc.start()
@@ -155,14 +163,13 @@ def traced(fn, *args):
 
 
 @pytest.mark.parametrize("command", [["aggregate"], ["fit", "--degree", "2", "--seed", "0"]])
-def test_peak_memory_is_the_columns_not_the_records(large_file, command):
+def test_peak_memory_is_the_columns_not_the_records(large_file, record_list_bytes, command):
     # aggregate keeps an id and two scores a record, fit six weights and a target value as
     # doubles and one split's design rows; the record list holds every record's objects,
     # its scores dict and the dict's keys
     records, suite = large_file
-    loaded, _, list_bytes = traced(read_records, records, read_suite(suite))
-    assert len(loaded) == LINES
-    del loaded
+    count, list_bytes = record_list_bytes
+    assert count == LINES
     argv = [*command, "--records", str(records), "--suite", str(suite)]
     with open(os.devnull, "w") as sink:  # printed rows are not held, so not counted
         run(argv, sink)  # once untraced, so what a first call sets up once is not counted

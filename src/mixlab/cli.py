@@ -219,23 +219,15 @@ def main() -> None:
 
 def _cmd_aggregate(args) -> int:
     suite = _load_suite(args.suite)
-    ids: list[str] = []
-    summaries = summarize(_ids_into(stream_records(args.records, suite), ids), suite)
+    summaries = summarize(stream_records(args.records, suite), suite)
     if args.pretty:
         print(f"{'id':<16} {'in-score':>9} {'out-score':>9}")
-        for rid, s in zip(ids, summaries):
-            print(f"{rid:<16} {s.in_score:>9.4f} {s.out_score:>9.4f}")
+        for s in summaries:
+            print(f"{s.id:<16} {s.in_score:>9.4f} {s.out_score:>9.4f}")
     else:
-        for rid, s in zip(ids, summaries):
-            print(json.dumps({"id": rid, "in_score": s.in_score, "out_score": s.out_score}))
+        for s in summaries:
+            print(json.dumps({"id": s.id, "in_score": s.in_score, "out_score": s.out_score}))
     return 0
-
-
-def _ids_into(records, ids: list[str]):
-    """``records`` as they come, each one's id appended to ``ids`` on the way."""
-    for record in records:
-        ids.append(record.id)
-        yield record
 
 
 # the flags (and their dest) that only one heuristic reads

@@ -132,7 +132,7 @@ class PipelineReport:
         lines = [
             f"fitting records: {len(self.fitting_records)}   "
             f"surrogate degree: {self.fit_report.degree}   "
-            f"best split test R^2: {max(self.fit_report.test_r2):.4f}",
+            f"best split test R^2: {self.fit_report.test_r2[self.fit_report.best_split]:.4f}",
             "",
             f"{'rank':>4}  {'predicted':>9}  {'realized':>9}  mixture",
         ]

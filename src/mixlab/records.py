@@ -22,11 +22,13 @@ time, so the fault raised is the first.
 :func:`stream_records` yields each record as its line is read, and
 :func:`read_records` is the list of them.  ``mixlab aggregate``, ``fit`` and
 ``propose`` stream: :func:`summarize` and ``surrogate.fitting_rows`` keep only
-the columns they use, never the whole record list; ``fit`` and ``propose``
-read them once, in ``fitting_rows``.  A fault in the records' meaning (a
-missing group member, a mixture of another length) is held until the stream
-has ended and raised then, so a parse fault on any line, earlier or later,
-still wins.  ``mixlab heuristic`` reads the whole list.
+the columns they use, never the whole record list.  Each of ``summarize``'s
+summaries carries its record's id, so ``aggregate`` prints from the one list
+its single pass returns; ``fit`` and ``propose`` read the file once, in
+``fitting_rows``.  A fault in the records' meaning (a missing group member, a
+mixture of another length) is held until the stream has ended and raised then,
+so a parse fault on any line, earlier or later, still wins.  The ``heuristic``
+command reads the whole list.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ class PerformanceRecord:
 
 @dataclass(frozen=True, slots=True)
 class ScoreSummary:
+    id: str
     in_score: float
     out_score: float
 
@@ -121,7 +124,7 @@ def weighted_aggregate(
 
 
 def summarize(records: Iterable[PerformanceRecord], suite: Sequence[BenchmarkSpec]) -> list[ScoreSummary]:
-    """Each record's In- and Out-score, in order, in one pass over ``records``.
+    """Each record's id with its In- and Out-score, in order, in one pass over ``records``.
 
     A scoring fault is raised once ``records`` is spent, so a parse fault on
     any line of a streamed file (:func:`stream_records`) still comes first.
@@ -140,7 +143,7 @@ def summarize(records: Iterable[PerformanceRecord], suite: Sequence[BenchmarkSpe
                 except MixLabError as exc:
                     faults[index] = exc
         if len(scores) == len(GROUPS):
-            summaries.append(ScoreSummary(*scores))
+            summaries.append(ScoreSummary(record.id, *scores))
     raise_first(faults)
     return summaries
 
@@ -366,4 +369,4 @@ def table2_printed_summary() -> dict[str, ScoreSummary]:
     """
     text = (resources.files("mixlab") / "data" / "table2_summary.json").read_text(encoding="utf-8")
     raw = json.loads(text)
-    return {rid: ScoreSummary(in_score=v[0], out_score=v[1]) for rid, v in raw.items()}
+    return {rid: ScoreSummary(id=rid, in_score=v[0], out_score=v[1]) for rid, v in raw.items()}

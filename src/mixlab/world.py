@@ -39,6 +39,9 @@ class BenchmarkDef(BenchmarkSpec):
         """Equal weight on each of ``skills``; ``fields`` are the other BenchmarkDef fields."""
         if not skills or not all(is_int(s) and 0 <= s < k for s in skills):
             raise InvalidSpec(f"benchmark {name!r} needs skills that are integers in [0, {k})")
+        if len(set(skills)) < len(skills):
+            repeated = next(s for i, s in enumerate(skills) if s in skills[:i])
+            raise InvalidSpec(f"benchmark {name!r} lists skill {repeated} more than once")
         weights = np.zeros(k)
         weights[list(skills)] = 1.0 / len(skills)
         return cls(name=name, group=group, skill_weights=tuple(weights), **fields)
@@ -88,7 +91,8 @@ class WorldSpec:
                 raise InvalidSpec("benchmark names must be unique within a world")
             for bench in self.benchmarks:
                 weights = np.asarray(bench.skill_weights)
-                if weights.shape != (self.k,) or abs(weights.sum() - 1.0) > 1e-9 or (weights < 0).any():
+                if (weights.shape != (self.k,) or not np.isfinite(weights).all()
+                        or abs(weights.sum() - 1.0) > 1e-9 or (weights < 0).any()):
                     raise InvalidSpec(f"benchmark {bench.name!r} needs a distribution over {self.k} skills")
 
 

@@ -4,7 +4,8 @@ These are the package's ``records.weighted_aggregate``/``summarize``,
 ``surrogate.fitting_rows`` and ``search.propose`` as they were before
 ``mixlab aggregate``, ``fit`` and ``propose`` streamed their records file:
 each takes the whole record list, scores one group over the whole batch at a
-time, and raises a fault as soon as it meets one.  ``fitting_rows`` returns,
+time, and raises a fault as soon as it meets one.  ``summarize``'s summaries
+carry their record's id, as the package's do.  ``fitting_rows`` returns,
 and ``propose`` passes on, the arrays the package's fit and Gaussian take.
 :func:`patched` runs the CLI on them, with ``stream_records`` reading the
 whole list first, so a differential test can hold the commands' stdout,
@@ -46,8 +47,9 @@ def weighted_aggregate(
 
 
 def summarize(records: Sequence[PerformanceRecord], suite: Sequence[BenchmarkSpec]) -> list[ScoreSummary]:
+    ids = [record.id for record in records]
     score_rows = [record.scores for record in records]
-    return list(map(ScoreSummary, weighted_aggregate(score_rows, suite, "in"),
+    return list(map(ScoreSummary, ids, weighted_aggregate(score_rows, suite, "in"),
                     weighted_aggregate(score_rows, suite, "out")))
 
 

@@ -396,6 +396,24 @@ class TestSimulate:
         assert "error: benchmark names must be unique" in err
         assert not out_path.exists()
 
+    def test_nan_benchmark_weight_is_data_error(self, capsys, world_file, mixture_file, tmp_path):
+        # JSON NaN parses to a float; a world scored with it would append a record no reader accepts
+        out_path = tmp_path / "records.jsonl"
+        code, _, _ = run_cli(capsys, "simulate", "--world", str(world_file), "--weights", str(mixture_file),
+                             "--steps", "5", "--seed", "0", "--out", str(out_path))
+        assert code == 0
+        before = out_path.read_bytes()
+        world_path = tmp_path / "nan-world.json"
+        world_path.write_text(json.dumps({
+            "m": 2, "k": 4, "A": 2, "pool_sizes": [10, 10],
+            "benchmarks": [{"name": "in-0", "group": "in", "skill_weights": [float("nan"), 1.0, 0.0, 0.0]}],
+        }))
+        code, out, err = run_cli(capsys, "simulate", "--world", str(world_path), "--weights", str(mixture_file),
+                                 "--steps", "5", "--seed", "0", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert "error: benchmark 'in-0' needs a distribution over 4 skills" in err
+        assert out_path.read_bytes() == before
+
 
 PIPELINE_ARTIFACTS = ("records.jsonl", "model.json", "report.json", "summary.txt")
 

@@ -120,6 +120,32 @@ def test_a_later_parse_fault_wins_over_an_earlier_semantic_one(tmp_path, command
     assert "error: line 5: invalid JSON" in err
 
 
+@pytest.mark.parametrize("command", ["fit", "propose"])
+def test_a_fault_the_target_does_not_read_leaves_the_list_based_output(tmp_path, command):
+    # the only fault is the last weighted record's missing c, an out-group member, so --target in
+    # fits every weighted row, the last one too; a null-weights record follows it
+    rng = random.Random(0)
+    objs = []
+    for i in range(16):
+        mass = [rng.randint(1, 4) for _ in range(3)]
+        obj = {"id": f"r{i}", "datasets": [1, 2, 3], "weights": [share / sum(mass) for share in mass],
+               "scores": {name: rng.random() for name in NAMES}}
+        objs.append(obj)
+    del objs[-1]["scores"]["c"]
+    objs.append({"id": "unweighted", "datasets": [1, 2], "weights": None, "scores": objs[0]["scores"]})
+    records, suite = tmp_path / "records.jsonl", tmp_path / "suite.json"
+    records.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    suite.write_text(json.dumps(SUITES["both groups"]))
+    argv = [command, "--records", str(records), "--suite", str(suite), "--target", "in",
+            "--degree", "2", "--seed", "0", "--test-fraction", "0.3"]
+    if command == "propose":
+        argv += ["--n", "300", "--k", "2"]
+    with offline_reference.patched():
+        expected = run(argv)
+    assert expected[0] == 0, expected[2]
+    assert run(argv) == expected
+
+
 # --- memory ---------------------------------------------------------------------
 
 LINES = 5_000

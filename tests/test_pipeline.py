@@ -146,6 +146,12 @@ class TestRunFull:
             compared += 1
         assert compared > 0
 
+    def test_summary_prints_the_kept_split(self, report):
+        # a NaN split ahead of the kept one must not become the printed value
+        fit_report = dataclasses.replace(report.fit_report, test_r2=(float("nan"), 0.75, 0.25), best_split=1)
+        summary = dataclasses.replace(report, fit_report=fit_report).summary_table()
+        assert summary.splitlines()[0].endswith("best split test R^2: 0.7500")
+
     def test_uniform_realized_present(self, report):
         assert report.uniform.weights.weights == pytest.approx((1 / 3, 1 / 3, 1 / 3))
         assert isinstance(report.delta_vs_uniform, float)

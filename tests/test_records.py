@@ -20,10 +20,12 @@ from mixlab.records import (
     parse_records,
     read_records,
     serialize_record,
+    stream_records,
     summarize,
     table2_fixture,
     table2_printed_summary,
     weighted_aggregate,
+    write_records,
 )
 from tests.records_reference import parse_each_line
 
@@ -212,6 +214,21 @@ def test_summary_within_group_range(suite):
     summary = summarize([record], suite)[0]
     in_scores = [record.scores[b.name] for b in suite if b.group == "in"]
     assert min(in_scores) <= summary.in_score <= max(in_scores)
+
+
+class TestSummarizeIds:
+    def test_ids_in_list_order(self, suite, fixture):
+        assert [s.id for s in summarize(fixture, suite)] == [r.id for r in fixture]
+
+    def test_ids_in_file_order_when_streamed(self, suite, fixture, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records(fixture[::-1], path)
+        summaries = summarize(stream_records(path, suite), suite)
+        assert [s.id for s in summaries] == [r.id for r in reversed(fixture)]
+        assert summaries == summarize(fixture[::-1], suite)
+
+    def test_printed_table_is_keyed_by_its_ids(self):
+        assert all(summary.id == rid for rid, summary in table2_printed_summary().items())
 
 
 class TestReadRecords:

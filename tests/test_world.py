@@ -34,6 +34,15 @@ class TestWorldSpec:
         with pytest.raises(InvalidSpec):
             WorldSpec(m=1, k=2, A=2, pool_sizes=(4,), benchmarks=(bench,))
 
+    @pytest.mark.parametrize("weights", [
+        (float("nan"), 1.0),  # the sum is NaN, and NaN < 0 is False
+        (float("nan"), float("nan")),
+    ])
+    def test_rejects_nan_benchmark_weights(self, weights):
+        bench = BenchmarkDef(name="b", group="out", skill_weights=weights)
+        with pytest.raises(InvalidSpec, match="needs a distribution over 2 skills"):
+            WorldSpec(m=1, k=2, A=2, pool_sizes=(4,), benchmarks=(bench,))
+
     def test_rejects_out_of_range_domain_skills(self):
         with pytest.raises(InvalidSpec):
             WorldSpec(m=1, k=4, A=2, pool_sizes=(4,), domain_skills=((7,),))
@@ -203,6 +212,13 @@ class TestWorldSpecFromDict:
         obj = {"m": 2, "k": 8, "A": 4, "pool_sizes": [3, 3],
                "benchmarks": [{"name": "b", "group": "out", "skills": skills}]}
         with pytest.raises(InvalidSpec, match="integers in"):
+            world_spec_from_dict(obj)
+
+    @pytest.mark.parametrize("skills, repeated", [([0, 0, 1], 0), ([3, 1, 2, 1, 3], 1)])
+    def test_repeated_benchmark_skill_is_named(self, skills, repeated):
+        obj = {"m": 2, "k": 4, "A": 4, "pool_sizes": [3, 3],
+               "benchmarks": [{"name": "b", "group": "out", "skills": skills}]}
+        with pytest.raises(InvalidSpec, match=f"benchmark 'b' lists skill {repeated} more than once"):
             world_spec_from_dict(obj)
 
     def test_defaults(self):

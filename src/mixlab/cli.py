@@ -285,9 +285,8 @@ def _cmd_sample(args) -> int:
         pool_sizes = [int(p) for p in args.pools.split(",") if p.strip()]
     except ValueError as exc:
         raise UsageError(f"--pools must be comma-separated integers: {exc}") from exc
-    n = sum(pool_sizes) + 1  # a stream stops at the latest on the draw after its pools' last item
-    if args.max_steps is not None:
-        n = min(n, args.max_steps)
+    # data_streams caps n at sum(pool_sizes) + 1, where every stream has stopped
+    n = sum(pool_sizes) + 1 if args.max_steps is None else args.max_steps
     # the trainer's own data stream, so this prints what `simulate --seed` on these pools trains on
     domains, items, lengths, *_ = data_streams(pool_sizes, [RunSpec(weights, seed)], n)
     for domain, item in zip(domains[0, :lengths[0]], items[0, :lengths[0]]):

@@ -31,20 +31,23 @@ of its run on its skill, all on distinct rows.  A phase takes as many levels
 as the most steps one run spends on one skill, not as many as a run takes
 steps, and :func:`grpo_step` updates a block of one level's rows at once.
 It takes the block column-major: logits ``(A, n)``, uniforms ``(G, n)`` and
-one-hot actions ``(G, A, n)`` for ``n`` rows, so every sum over the actions
-or the group is a few vector ops along the leading axis, each as long as
-the block, rather than ``n`` reductions a few values long.  Every array
-operation works column by column and rounds exactly as the per-run scalar
-reference in ``tests/grpo_reference.py`` does: a sum over the gradient's
-samples adds them in order, as the reference's loop does, and every other
-sum (:func:`_sum_columns`) in the pairwise order of the reference's 1-D
-``sum``.  So no row's result depends on which rows share its block, and the
-tests require a per-run loop of that reference to give the same logits bit
-for bit.  The batched step
-leaves out only operations whose results are exact: a step's first inner
-epoch evaluates at the snapshot, where every ratio is exactly 1 and no
-sample is clipped, so it skips the ratio path, and later epochs reuse the
-step's one-hot actions and old log-probabilities.
+one-hot actions ``(G, A, n)`` for ``n`` rows, so a sum over the group, or
+over fewer than 8 actions, is a few vector ops along the leading axis, each
+as long as the block, rather than ``n`` reductions a few values long.  Every
+array operation works column by column and rounds exactly as the per-run
+scalar reference in ``tests/grpo_reference.py`` does: a sum over the
+gradient's samples adds them in order, as the reference's loop does, and
+every other sum (:func:`_sum_columns`) as the reference's 1-D ``sum``.  That
+rests on two facts of numpy: it adds fewer than 8 values in order, as a sum
+over the leading axis adds rows, and a last-axis sum of a contiguous row
+rounds as its 1-D sum, so longer columns are summed as the rows of a
+transposed copy.  So no row's result depends on which rows share its block,
+and the tests require a per-run loop of that reference to give the same
+logits bit for bit.  The batched step leaves out only operations whose
+results are exact: a step's first inner epoch evaluates at the snapshot,
+where every ratio is exactly 1 and no sample is clipped, so it skips the
+ratio path, and later epochs reuse the step's one-hot actions and old
+log-probabilities.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import check_types
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, MixLabError
 from .mixtures import MixtureWeights
 from .records import PerformanceRecord
 from .rewards import combined_reward
@@ -150,7 +153,8 @@ def data_streams(
     made once per key: ``key_of_run[r]`` is run ``r``'s key and
     ``action_streams[key]`` its other stream.  The domain draws, exhaustion
     cut (:func:`draw_streams`) and item gather are done for all runs at once
-    as ``(R, steps)`` arrays.
+    as ``(R, T)`` arrays, ``T = min(steps, sum(pool_sizes) + 1)``: a stream
+    stops at the latest on the draw after its pools' last item.
     """
     key_of_run = np.zeros(len(runs), dtype=np.int64)
     key_index: dict[tuple, int] = {}
@@ -161,6 +165,7 @@ def data_streams(
             key_index[stream_key] = len(key_runs)
             key_runs.append(run)
         key_of_run[r] = key_index[stream_key]
+    steps = min(steps, sum(pool_sizes) + 1)
 
     # one sampler alive at a time; the first checks the pool sizes before any array is sized by them
     action_streams = []
@@ -193,9 +198,9 @@ def _task_streams(
 
     The data half is :func:`data_streams`: a step's skill is its item's in
     its domain's pool, and its gold that skill's answer.  Each stream key's
-    ``(steps, G)`` action uniforms ``action_uniforms[key]`` are drawn once,
+    ``(T, G)`` action uniforms ``action_uniforms[key]`` are drawn once,
     in as many leading rows as its longest run takes.  Steps at and past a
-    run's length are not part of its stream.
+    run's length are not part of its stream; ``T`` is the data streams' width.
     """
     domains, items, lengths, key_of_run, action_streams = data_streams(world.spec.pool_sizes, runs, config.steps)
     skills = np.concatenate(world.pools)[np.cumsum([0, *world.spec.pool_sizes[:-1]])[domains] + items]
@@ -203,7 +208,7 @@ def _task_streams(
     # a key's action uniforms cover the steps its longest run takes
     longest = np.zeros(len(action_streams), dtype=np.int64)
     np.maximum.at(longest, key_of_run, lengths)
-    action_uniforms = np.zeros((len(action_streams), config.steps, config.group_size))
+    action_uniforms = np.zeros((len(action_streams), domains.shape[1], config.group_size))
     for key, stream in enumerate(action_streams):
         np.random.default_rng(stream).random(out=action_uniforms[key, :longest[key]])
     return lengths, skills, world.answer_map[skills], action_uniforms, key_of_run
@@ -212,28 +217,12 @@ def _task_streams(
 def _sum_columns(x: np.ndarray) -> np.ndarray:
     """The sum of each column of ``x`` ``(L, n)``, rounded as numpy sums ``L`` contiguous values.
 
-    numpy adds a contiguous run from 0.0, pairwise: under 8 values in order;
-    up to 128 in 8 strided accumulators, combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the tail in order; above
-    that, each half (split at a multiple of 8) by the same rule.  Here every
-    step is a vector op over the ``n`` columns.  An in-order run of additions
-    is a sum over the leading axis, which numpy adds one row at a time from
-    0.0 when that axis is outermost in memory, as it is in a C-contiguous
-    ``x``; with under 8 rows, numpy's order is that one in any layout.
+    numpy adds fewer than 8 values in order, as a leading-axis sum adds rows;
+    longer columns are summed as the contiguous rows of a transposed copy.
     """
-    size = len(x)
-    if size < 8:
+    if len(x) < 8:
         return x.sum(axis=0)
-    if size > 128:
-        half = size // 2 - size // 2 % 8
-        return _sum_columns(x[:half]) + _sum_columns(x[half:])
-    stop = size - size % 8
-    lanes = x[:stop].reshape(stop // 8, 8, x.shape[1]).sum(axis=0)  # lane j: x[j] + x[j + 8] + ... in order
-    pairs = lanes[0::2] + lanes[1::2]
-    total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
-    for row in x[stop:]:
-        total += row
-    return total
+    return np.ascontiguousarray(x.T).sum(axis=1)
 
 
 def _softmax_columns(logits: np.ndarray) -> np.ndarray:
@@ -372,15 +361,17 @@ def train_policies(
     skill.  So the steps run level by level (:func:`_level_schedule`), each
     level in blocks of :func:`_block_columns` rows, one :func:`grpo_step`
     call a block.  ``theta`` stays ``(R*k, A)`` and the uniforms ``(keys,
-    steps, G)``; a block's rows are gathered and handed over transposed, as
-    ``(A, n)`` logits and ``(G, n)`` uniforms, and its new columns are
-    written back as rows.
+    T, G)`` for the ``T`` steps the pools allow; a block's rows are gathered
+    and handed over transposed, as ``(A, n)`` logits and ``(G, n)``
+    uniforms, and its new columns are written back as rows.  A final logit
+    that is not finite, which a too large ``peak_learning_rate`` leaves,
+    raises :class:`MixLabError`.
     """
     for run in runs:
         if run.mixture.m != world.m:
             raise DimensionMismatch(f"{run.mixture.m} weights for a world with {world.m} domains")
-    steps = config.steps
     lengths, skills, golds, uniforms, key_of_run = _task_streams(world, runs, config)
+    steps = skills.shape[1]
 
     theta = np.zeros((len(runs) * world.k, world.A))
     ref = _softmax_columns(np.zeros((world.A, 1)))
@@ -393,6 +384,9 @@ def train_policies(
             row = run * world.k + skills[run, step]
             theta[row] = grpo_step(theta[row].T, uniforms[key_of_run[run], step].T, golds[run, step],
                                    learning_rates[step], ref, config).T
+    if not np.isfinite(theta).all():  # an underflowed softmax entry makes its KL term 0 * log(0 / q) NaN
+        raise MixLabError(f"training left non-finite logits; peak_learning_rate {config.peak_learning_rate} "
+                          "is too large for this world")
     return theta.reshape(len(runs), world.k, world.A), lengths
 
 

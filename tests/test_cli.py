@@ -414,6 +414,23 @@ class TestSimulate:
         assert "error: benchmark 'in-0' needs a distribution over 4 skills" in err
         assert out_path.read_bytes() == before
 
+    def test_non_finite_logits_are_data_errors(self, capsys, mixture_file, tmp_path):
+        # at a large but finite peak learning rate a softmax entry underflows to 0 and its KL term is NaN
+        world_path, out_path = tmp_path / "world.json", tmp_path / "records.jsonl"
+        world_path.write_text(json.dumps({
+            "m": 2, "k": 4, "A": 4, "pool_sizes": [30, 30], "domain_skills": [[0, 1], [2, 3]],
+            "benchmarks": [{"name": "in-0", "group": "in", "skills": [0, 1]},
+                           {"name": "out-all", "group": "out", "skills": [0, 1, 2, 3]}],
+        }))
+        argv = ["simulate", "--world", str(world_path), "--weights", str(mixture_file),
+                "--steps", "20", "--seed", "0", "--out", str(out_path)]
+        assert run_cli(capsys, *argv)[0] == 0
+        before = out_path.read_bytes()
+        code, out, err = run_cli(capsys, *argv, "--peak-lr", "1000")
+        assert (code, out) == (2, "")
+        assert "peak_learning_rate" in err
+        assert out_path.read_bytes() == before
+
 
 PIPELINE_ARTIFACTS = ("records.jsonl", "model.json", "report.json", "summary.txt")
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -453,6 +454,18 @@ class TestTrainRuns:
         theta, steps = train_policies(tiny_world(), [], GrpoConfig(steps=5))
         assert theta.shape == (0, 20, 4) and steps.shape == (0,)
 
+    def test_memory_follows_the_pools_not_the_budget(self):
+        # two 30-item pools end every run by its 61st draw, so no array grows with steps
+        world = tiny_world(pool=30)
+        tracemalloc.start()
+        try:
+            record, = train_runs(world, [RunSpec(MixtureWeights((0.5, 0.5)), 1)], GrpoConfig(steps=10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.step <= 60
+        assert peak < 1 << 20  # a 10**6-step budget's uniforms alone would take 8 MB
+
     def test_wrong_m_raises_before_training(self):
         world = tiny_world()
         runs = [RunSpec(MixtureWeights((0.5, 0.5)), 0), RunSpec(MixtureWeights((0.2, 0.3, 0.5)), 1)]
@@ -527,12 +540,15 @@ class TestLevelSchedule:
         # one call a block, through the module global; train_policies and train_runs each train once
         assert max(block_rows) == 3 and sum(block_rows) == 2 * steps.sum()
 
-    def test_wide_blocks_bit_equal(self, monkeypatch):
+    @pytest.mark.parametrize("group_size, actions", [(16, 16), (8, 4), (6, 12)])
+    def test_wide_blocks_bit_equal(self, monkeypatch, group_size, actions):
         # ragged-refine's shape, G=16 and A=16, in blocks as narrow as one row and as wide
-        # as a whole level; the widest hold A * n logits above numpy's 8 192-element ufunc buffer
-        spec = WorldSpec(m=3, k=240, A=16, pool_sizes=(30, 80, 400), held_out_skills=10)
+        # as a whole level; the widest hold A * n logits above numpy's 8 192-element ufunc buffer.
+        # (8, 4) and (6, 12) sum 8 or more values over only the group or only the actions
+        spec = WorldSpec(m=3, k=240, A=actions, pool_sizes=(30, 80, 400), held_out_skills=10)
         world = make_world(spec, seed=5)
-        config = GrpoConfig(group_size=16, steps=50, inner_epochs=2, clip_epsilon=0.05, peak_learning_rate=0.5)
+        config = GrpoConfig(group_size=group_size, steps=50, inner_epochs=2, clip_epsilon=0.05,
+                            peak_learning_rate=0.5)
         mixtures = (MixtureWeights((0.2, 0.3, 0.5)), MixtureWeights((1 / 3, 1 / 3, 1 / 3)),
                     MixtureWeights((0.0, 0.0, 1.0)), MixtureWeights((0.6, 0.4, 0.0)))
         runs = [RunSpec(mixtures[i % 4], 90 + i, f"run{i}") for i in range(20)]
@@ -553,7 +569,8 @@ class TestLevelSchedule:
                 assert theta[r].tobytes() == ref_theta.tobytes(), f"run {r} differs in blocks of {width}"
             assert sum(block_rows) == steps.sum() and max(block_rows) == min(width, block_rows[0])
         assert len(set(steps.tolist())) > 1  # ragged: some runs stop on an empty pool
-        assert block_rows[0] * world.A > 8192  # the whole first level in one block
+        if (group_size, actions) == (16, 16):
+            assert block_rows[0] * world.A > 8192  # the whole first level in one block
 
     def test_zero_steps(self):
         theta, steps = train_policies(tiny_world(), [RunSpec(mix, i) for i, mix in enumerate(RUN_MIXTURES)],
@@ -625,6 +642,13 @@ class TestColumnLayout:
     def test_sum_columns_of_negative_zeros(self, length):
         # numpy's sum starts from 0.0, so a column of -0.0 sums to +0.0
         assert_numpy_sum_order(np.full((length, 2), -0.0))
+
+    @pytest.mark.parametrize("length", [8, 16, 129])
+    @pytest.mark.parametrize("columns", [256, 1024, 4035])
+    def test_sum_columns_at_block_widths(self, length, columns):
+        # the trainer's blocks: a tall (columns, length) copy, summed along its rows
+        for seed in range(3):
+            assert_numpy_sum_order(mixed_magnitudes(length, columns, seed))
 
     @given(st.integers(1, 300), st.integers(1, 5), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -714,7 +738,9 @@ class TestTaskStreams:
         lengths, skills, golds, uniforms, key_of_run = grpo._task_streams(world, runs, config)
         domains, items, data_lengths, data_keys, _ = grpo.data_streams(world.spec.pool_sizes, runs, config.steps)
         assert lengths.shape == key_of_run.shape == (len(runs),)
-        assert skills.shape == golds.shape == domains.shape == items.shape == (len(runs), config.steps)
+        width = min(config.steps, sum(world.spec.pool_sizes) + 1)  # every stream has stopped by then
+        assert skills.shape == golds.shape == domains.shape == items.shape == (len(runs), width)
+        assert uniforms.shape == (len(set(key_of_run.tolist())), width, config.group_size)
         assert np.array_equal(data_lengths, lengths) and np.array_equal(data_keys, key_of_run)
         for r, run in enumerate(runs):
             n, want_draws, want_skills, want_golds, want_uniforms = per_run_streams(world, run, config)
